@@ -35,7 +35,7 @@ storageCellCount(const IVec &ov, const Polyhedron &isg)
     IMatrix u = unimodularCompletion(prim);
     int64_t cells = g;
     for (size_t r = 1; r < u.rows(); ++r)
-        cells = checkedMul(cells, isg.projectionCount(u.row(r)));
+        cells = checkedMul(cells, isg.projectionCount(u.rowSpan(r)));
     return cells;
 }
 

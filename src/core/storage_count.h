@@ -44,6 +44,12 @@ IVec mappingVector2D(const IVec &ov);
  * near the ISG corners may hold fewer than g occupied classes, so the
  * exact occupied-class count (storageCellCountExact) can be slightly
  * smaller; allocation follows the paper's formula.
+ *
+ * It is the known-bounds search objective, evaluated once per search
+ * node, so it runs in exact integer arithmetic: each extent is
+ * Polyhedron::projectionCount over the ISG's cached common-denominator
+ * vertices (docs/THEORY.md, "Integer projection counts"), read straight
+ * from the completion's rows, with no Rational arithmetic.
  */
 int64_t storageCellCount(const IVec &ov, const Polyhedron &isg);
 

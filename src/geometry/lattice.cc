@@ -75,7 +75,8 @@ unimodularCompletion(const IVec &v)
     IVec w = v;
 
     // Zero out w[d-1] ... w[1] using 2x2 unimodular row transforms on
-    // (U, w).  Invariant: U * v == w.
+    // (U, w), each applied in place to rows i-1 and i.  Invariant:
+    // U * v == w.
     for (size_t i = d - 1; i >= 1; --i) {
         int64_t a = w[i - 1];
         int64_t b = w[i];
@@ -87,12 +88,12 @@ unimodularCompletion(const IVec &v)
         int64_t r = checkedNeg(b / e.g);
         int64_t s = a / e.g;
         // [p q; r s] has determinant p*s - q*r = (x*a + y*b)/g = 1.
-        IMatrix t = IMatrix::identity(d);
-        t(i - 1, i - 1) = p;
-        t(i - 1, i) = q;
-        t(i, i - 1) = r;
-        t(i, i) = s;
-        u = t * u;
+        for (size_t c = 0; c < d; ++c) {
+            int64_t top = u(i - 1, c);
+            int64_t bot = u(i, c);
+            u(i - 1, c) = checkedAdd(checkedMul(p, top), checkedMul(q, bot));
+            u(i, c) = checkedAdd(checkedMul(r, top), checkedMul(s, bot));
+        }
         int64_t new_top = checkedAdd(checkedMul(p, a), checkedMul(q, b));
         int64_t new_bot = checkedAdd(checkedMul(r, a), checkedMul(s, b));
         w[i - 1] = new_top;
@@ -102,15 +103,15 @@ unimodularCompletion(const IVec &v)
 
     // After folding everything into w[0], primitivity gives w[0] = +-1.
     if (w[0] == -1) {
-        IMatrix t = IMatrix::identity(d);
-        t(0, 0) = -1;
-        u = t * u;
+        for (size_t c = 0; c < d; ++c)
+            u(0, c) = checkedNeg(u(0, c));
         w[0] = 1;
     }
     UOV_CHECK(w[0] == 1, "completion folds to e0, got " << w.str());
-    UOV_CHECK((u * v)[0] == 1, "U*v == e0 head");
+    IVec uv = u * v;
+    UOV_CHECK(uv[0] == 1, "U*v == e0 head");
     for (size_t i = 1; i < d; ++i)
-        UOV_CHECK((u * v)[i] == 0, "U*v == e0 tail");
+        UOV_CHECK(uv[i] == 0, "U*v == e0 tail");
     UOV_CHECK(u.isUnimodular(), "completion is unimodular");
     return u;
 }

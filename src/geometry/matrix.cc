@@ -58,6 +58,13 @@ IMatrix::row(size_t r) const
     return IVec(std::move(v));
 }
 
+std::span<const int64_t>
+IMatrix::rowSpan(size_t r) const
+{
+    UOV_CHECK(r < _rows, "row out of range");
+    return {_data.data() + idx(r, 0), _cols};
+}
+
 IVec
 IMatrix::col(size_t c) const
 {

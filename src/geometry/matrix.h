@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <ostream>
+#include <span>
 #include <vector>
 
 #include "geometry/ivec.h"
@@ -39,6 +40,8 @@ class IMatrix
     int64_t &operator()(size_t r, size_t c);
 
     IVec row(size_t r) const;
+    /** Row @p r in place; valid until the matrix is reshaped or destroyed. */
+    std::span<const int64_t> rowSpan(size_t r) const;
     IVec col(size_t c) const;
 
     IMatrix operator*(const IMatrix &o) const;

@@ -171,6 +171,86 @@ solveSquare(std::vector<RationalVec> m, RationalVec rhs)
     return x;
 }
 
+/**
+ * Rewrite each vertex as an integer numerator row over one positive
+ * common denominator (the lcm of its coordinates' denominators).
+ * Returns false when a denominator or numerator overflows int64.
+ */
+bool
+commonDenominatorForm(const std::vector<RationalVec> &verts, size_t d,
+                      std::vector<int64_t> &num, std::vector<int64_t> &den)
+{
+    num.resize(verts.size() * d);
+    den.resize(verts.size());
+    for (size_t v = 0; v < verts.size(); ++v) {
+        int64_t l = 1;
+        for (const Rational &c : verts[v]) {
+            if (__builtin_mul_overflow(l / gcd64(l, c.den()), c.den(), &l))
+                return false;
+        }
+        den[v] = l;
+        for (size_t c = 0; c < d; ++c) {
+            const Rational &x = verts[v][c];
+            if (__builtin_mul_overflow(x.num(), l / x.den(), &num[v * d + c]))
+                return false;
+        }
+    }
+    return true;
+}
+
+/**
+ * floor(n/den) when @p up is false, ceil(n/den) when true, narrowed to
+ * int64.  @pre den > 0.  False when the quotient does not fit.
+ */
+bool
+roundedQuotient(__int128 n, int64_t den, bool up, int64_t &out)
+{
+    __int128 q = n / den;
+    if (n % den != 0 && (n > 0) == up)
+        q += up ? 1 : -1;
+    if (q < INT64_MIN || q > INT64_MAX)
+        return false;
+    out = static_cast<int64_t>(q);
+    return true;
+}
+
+/**
+ * [min_v ceil(n_v.dir / den_v), max_v floor(n_v.dir / den_v)]: ceil
+ * and floor are monotone, so this is [ceil(minDot), floor(maxDot)]
+ * exactly.  Dot products accumulate in __int128.  Returns false when a
+ * sum overflows __int128 or a rounded quotient leaves int64; the
+ * caller then takes the Rational path, which answers or throws as it
+ * always has.
+ */
+bool
+vertexDotRange(const std::vector<int64_t> &num,
+               const std::vector<int64_t> &den,
+               std::span<const int64_t> dir, Polyhedron::DotRange &out)
+{
+    size_t d = dir.size();
+    out = {INT64_MAX, INT64_MIN};
+    for (size_t v = 0; v < den.size(); ++v) {
+        const int64_t *n = &num[v * d];
+        __int128 dot = 0;
+        for (size_t c = 0; c < d; ++c) {
+            if (__builtin_add_overflow(dot, __int128{n[c]} * dir[c], &dot))
+                return false;
+        }
+        int64_t lo, hi;
+        if (den[v] == 1) {
+            if (dot < INT64_MIN || dot > INT64_MAX)
+                return false;
+            lo = hi = static_cast<int64_t>(dot);
+        } else if (!roundedQuotient(dot, den[v], true, lo) ||
+                   !roundedQuotient(dot, den[v], false, hi)) {
+            return false;
+        }
+        out.lo = std::min(out.lo, lo);
+        out.hi = std::max(out.hi, hi);
+    }
+    return true;
+}
+
 } // namespace
 
 void
@@ -231,6 +311,10 @@ Polyhedron::computeVertices() const
 
     UOV_REQUIRE(!verts.empty(), "polyhedron is empty or unbounded (no "
                                 "vertices found)");
+    if (!commonDenominatorForm(verts, d, _vertexNum, _vertexDen)) {
+        _vertexNum.clear();
+        _vertexDen.clear();
+    }
     _vertices = std::move(verts);
     _verticesValid = true;
 }
@@ -269,12 +353,23 @@ Polyhedron::minDot(const IVec &dir) const
     return best;
 }
 
-int64_t
-Polyhedron::projectionCount(const IVec &dir) const
+Polyhedron::DotRange
+Polyhedron::integerDotRange(std::span<const int64_t> dir) const
 {
-    int64_t hi = maxDot(dir).floor();
-    int64_t lo = minDot(dir).ceil();
-    return hi < lo ? 0 : checkedAdd(checkedSub(hi, lo), 1);
+    UOV_CHECK(dir.size() == dim(), "dimension mismatch in integerDotRange");
+    vertices();
+    DotRange r;
+    if (!_vertexDen.empty() && vertexDotRange(_vertexNum, _vertexDen, dir, r))
+        return r;
+    IVec v(dir.data(), dir.size());
+    return {minDot(v).ceil(), maxDot(v).floor()};
+}
+
+int64_t
+Polyhedron::projectionCount(std::span<const int64_t> dir) const
+{
+    DotRange r = integerDotRange(dir);
+    return r.hi < r.lo ? 0 : checkedAdd(checkedSub(r.hi, r.lo), 1);
 }
 
 int64_t
@@ -329,8 +424,9 @@ Polyhedron::boundingBox(IVec &lo, IVec &hi) const
     for (size_t c = 0; c < d; ++c) {
         IVec axis(d);
         axis[c] = 1;
-        lo[c] = minDot(axis).ceil();
-        hi[c] = maxDot(axis).floor();
+        DotRange r = integerDotRange({axis.data(), d});
+        lo[c] = r.lo;
+        hi[c] = r.hi;
     }
 }
 

@@ -15,6 +15,7 @@
 #define UOV_GEOMETRY_POLYHEDRON_H
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "geometry/ivec.h"
@@ -66,6 +67,21 @@ class Polyhedron
     /** min over vertices of dir . x. */
     Rational minDot(const IVec &dir) const;
 
+    /** Integer values [lo, hi] of dir . x at integer points. */
+    struct DotRange
+    {
+        int64_t lo; ///< ceil(minDot(dir))
+        int64_t hi; ///< floor(maxDot(dir)); hi < lo when empty
+    };
+
+    /**
+     * ceil(minDot) and floor(maxDot) in exact integer arithmetic over
+     * the cached common-denominator vertices (docs/THEORY.md, "Integer
+     * projection counts"); same answers as the Rational dot products.
+     * @pre dir.size() == dim()
+     */
+    DotRange integerDotRange(std::span<const int64_t> dir) const;
+
     /**
      * Number of integer values taken by dir . x over the polytope:
      * floor(maxDot) - ceil(minDot) + 1 (0 if the range is empty).
@@ -73,7 +89,11 @@ class Polyhedron
      * spanned by dir -- the paper's projection measure when dir is a
      * (primitive) mapping vector.
      */
-    int64_t projectionCount(const IVec &dir) const;
+    int64_t projectionCount(std::span<const int64_t> dir) const;
+    int64_t projectionCount(const IVec &dir) const
+    {
+        return projectionCount(std::span(dir.data(), dir.dim()));
+    }
 
     /**
      * Minimum projection count over candidate directions: the paper's
@@ -105,6 +125,12 @@ class Polyhedron
     IVec _b;
     mutable bool _verticesValid = false;
     mutable std::vector<RationalVec> _vertices;
+    // Vertex v == _vertexNum[v*dim() .. +dim()) / _vertexDen[v], with
+    // _vertexDen[v] > 0.  Empty when some common denominator or
+    // numerator overflows int64; integerDotRange then takes the
+    // Rational path.
+    mutable std::vector<int64_t> _vertexNum;
+    mutable std::vector<int64_t> _vertexDen;
 };
 
 } // namespace uov

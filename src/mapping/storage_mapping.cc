@@ -51,12 +51,12 @@ StorageMapping::create(const IVec &ov, const Polyhedron &isg,
     sm._lo.resize(sm._mv.size());
     std::vector<int64_t> extent(sm._mv.size());
     for (size_t k = 0; k < sm._mv.size(); ++k) {
-        int64_t lo = isg.minDot(sm._mv[k]).ceil();
-        int64_t hi = isg.maxDot(sm._mv[k]).floor();
-        UOV_REQUIRE(hi >= lo, "ISG projects to an empty range along "
-                                  << sm._mv[k].str());
-        sm._lo[k] = lo;
-        extent[k] = checkedAdd(checkedSub(hi, lo), 1);
+        Polyhedron::DotRange r = isg.integerDotRange(
+            {sm._mv[k].data(), sm._mv[k].dim()});
+        UOV_REQUIRE(r.hi >= r.lo, "ISG projects to an empty range along "
+                                      << sm._mv[k].str());
+        sm._lo[k] = r.lo;
+        extent[k] = checkedAdd(checkedSub(r.hi, r.lo), 1);
         extent_product = checkedMul(extent_product, extent[k]);
     }
     sm._stride.assign(sm._mv.size(), 1);

@@ -1,6 +1,8 @@
 #include "support/metrics.h"
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <sstream>
 
 #include "support/json.h"
@@ -63,19 +65,31 @@ Histogram::bucketCount(size_t b) const
                         : 0;
 }
 
+namespace {
+
+/**
+ * Nearest rank of the @p q quantile among @p count > 0 samples:
+ * ceil(q * count), clamped to [1, count].  A product that lies within
+ * rounding error above an integer (0.07 * 100 == 7.000000000000001)
+ * keeps that integer rank.
+ */
+uint64_t
+nearestRank(double q, uint64_t count)
+{
+    double x = std::clamp(q, 0.0, 1.0) * static_cast<double>(count);
+    auto rank = static_cast<uint64_t>(std::ceil(x - 1e-9 * x));
+    return std::clamp<uint64_t>(rank, 1, count);
+}
+
+} // namespace
+
 uint64_t
 Histogram::quantileUpperBound(double q) const
 {
     uint64_t total = count();
     if (total == 0)
         return 0;
-    if (q < 0)
-        q = 0;
-    if (q > 1)
-        q = 1;
-    uint64_t target = static_cast<uint64_t>(q * static_cast<double>(total));
-    if (target == 0)
-        target = 1;
+    uint64_t target = nearestRank(q, total);
     uint64_t seen = 0;
     for (size_t b = 0; b < kBuckets; ++b) {
         seen += bucketCount(b);
@@ -91,13 +105,7 @@ bucketPercentile(const uint64_t *buckets, size_t n, uint64_t count,
 {
     if (count == 0)
         return 0;
-    if (q < 0)
-        q = 0;
-    if (q > 1)
-        q = 1;
-    uint64_t target = static_cast<uint64_t>(q * static_cast<double>(count));
-    if (target == 0)
-        target = 1;
+    uint64_t target = nearestRank(q, count);
     uint64_t seen = 0;
     for (size_t b = 0; b < n; ++b) {
         uint64_t in_bucket = buckets[b];

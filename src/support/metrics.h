@@ -173,7 +173,10 @@ struct MetricsSnapshot
 /**
  * Rank-interpolated @p q percentile over bit-width buckets (the
  * shared implementation behind Histogram::percentile and the SLO
- * tracker's windowed merge).  @p count must equal the bucket total.
+ * tracker's windowed merge).  The target is the nearest rank
+ * ceil(q * count), so the answer lies in the same bucket as the exact
+ * q quantile of the samples -- within a factor of 2 of it.  @p count
+ * must equal the bucket total.
  */
 uint64_t bucketPercentile(const uint64_t *buckets, size_t n,
                           uint64_t count, double q);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <thread>
 #include <type_traits>
 
 #include "support/json.h"
@@ -72,11 +73,16 @@ FlightRecorder::record(FlightDigest digest)
     // Per-slot seqlock: odd = write in progress.  The payload words
     // are themselves atomic, so a racing snapshot reads defined
     // values and discards any it cannot certify as one generation.
-    // (A digest could only tear if _capacity concurrent writers
-    // lapped the ring inside this window -- record() is one claim
-    // and ~10 relaxed stores, so with capacity >= 8 that regime is
-    // unreachable in practice.)
-    slot.state.store(2 * idx + 1, std::memory_order_release);
+    // Writers of one slot go in claim order: a writer that lapped the
+    // ring waits until the slot's previous generation is published.
+    // Two writers storing into one slot at once (the earlier one
+    // preempted mid-copy) would otherwise leave a mix of two digests
+    // under an even, unchanged sequence word.
+    uint64_t prev = idx < _capacity ? 0 : 2 * (idx - _capacity) + 2;
+    while (slot.state.load(std::memory_order_acquire) != prev)
+        std::this_thread::yield();
+    slot.state.store(2 * idx + 1, std::memory_order_relaxed);
+    std::atomic_thread_fence(std::memory_order_release);
     for (size_t w = 0; w < kDigestWords; ++w)
         slot.words[w].store(buf[w], std::memory_order_relaxed);
     slot.state.store(2 * idx + 2, std::memory_order_release);

@@ -15,8 +15,9 @@
  * publishes it under a per-slot seqlock (odd = being written).  A
  * concurrent snapshot() copies each slot and keeps it only when the
  * sequence word was even and unchanged across the copy -- readers
- * never block writers, writers never wait, and a digest is either
- * observed whole or not at all.  Digests are trivially copyable by
+ * never block writers, and a digest is either observed whole or not
+ * at all.  A writer waits only when it laps the ring onto a slot whose
+ * previous writer has not finished its copy.  Digests are trivially copyable by
  * construction (fixed char cause field, no heap), which is what makes
  * the seqlock copy race-free in practice and TSan-clean via the
  * atomic fences around it.

@@ -13,7 +13,6 @@
 #include <dlfcn.h>
 
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <vector>
@@ -22,6 +21,7 @@
 #include "codegen/jit.h"
 #include "codegen/regcost.h"
 #include "codegen_golden_cases.h"
+#include "unique_temp_dir.h"
 
 #ifndef UOV_CODEGEN_GOLDEN_DIR
 #define UOV_CODEGEN_GOLDEN_DIR ""
@@ -40,27 +40,28 @@ namespace {
 
 using KernelFn = void (*)(double *);
 
-/** Compile + dlopen + run; returns the output row. */
-std::vector<double>
-runGenerated(const LoopNest &nest, const GeneratedCode &code)
+/**
+ * Compile + dlopen + run, then compare the output row bit-exactly
+ * against interpretKernel.  Each call compiles into its own mkdtemp
+ * directory, so concurrent test processes never share a .so path.
+ */
+void
+expectMatchesInterpreter(const LoopNest &nest, const GeneratedCode &code)
 {
-    static int counter = 0;
-    std::string dir = ::testing::TempDir() + "uov_codegen_" +
-                      std::to_string(counter++);
-    std::filesystem::create_directories(dir);
-    std::string so = compileToSharedObject(code, dir);
+    std::string so =
+        compileToSharedObject(code, uniqueTempDir("uov_codegen_"));
 
     void *handle = dlopen(so.c_str(), RTLD_NOW | RTLD_LOCAL);
-    EXPECT_NE(handle, nullptr) << dlerror();
+    ASSERT_NE(handle, nullptr) << dlerror();
     auto fn = reinterpret_cast<KernelFn>(
         dlsym(handle, code.function_name.c_str()));
-    EXPECT_NE(fn, nullptr) << dlerror();
+    ASSERT_NE(fn, nullptr) << dlerror();
 
     std::vector<double> out(
         static_cast<size_t>(outputCellCount(nest)), -1.0);
     fn(out.data());
     dlclose(handle);
-    return out;
+    EXPECT_EQ(out, interpretKernel(nest));
 }
 
 /**
@@ -89,10 +90,11 @@ checkCase(const LoopNest &nest, GenSchedule schedule,
             box *= nest.hi()[c] - nest.lo()[c] + 1;
         ASSERT_EQ(code.temp_cells, box);
     }
-    EXPECT_EQ(runGenerated(nest, code), interpretKernel(nest))
-        << "schedule=" << static_cast<int>(schedule)
-        << " storage=" << static_cast<int>(storage)
-        << " unroll=" << code.unroll << " jam=" << code.jam;
+    SCOPED_TRACE(::testing::Message()
+                 << "schedule=" << static_cast<int>(schedule)
+                 << " storage=" << static_cast<int>(storage)
+                 << " unroll=" << code.unroll << " jam=" << code.jam);
+    expectMatchesInterpreter(nest, code);
 }
 
 LoopNest
@@ -283,7 +285,7 @@ TEST(CodegenOptionsValidation, OvMappedRequiresTimeAdvancingOv)
     opts.storage = GenStorage::Expanded;
     if (JitCompiler::hostCompilerAvailable()) {
         GeneratedCode code = generateC(nest, plan, opts);
-        EXPECT_EQ(runGenerated(nest, code), interpretKernel(nest));
+        expectMatchesInterpreter(nest, code);
     }
 }
 
@@ -467,7 +469,7 @@ TEST(CodegenMatrix, RegisterTiledExplicitFactors)
     GeneratedCode code = generateC(nest, plan, opts);
     EXPECT_EQ(code.unroll, 4);
     EXPECT_EQ(code.jam, 3);
-    EXPECT_EQ(runGenerated(nest, code), interpretKernel(nest));
+    expectMatchesInterpreter(nest, code);
 }
 
 TEST(CodegenMatrix, SkewedTiledBlockedLayout)
@@ -484,7 +486,7 @@ TEST(CodegenMatrix, SkewedTiledBlockedLayout)
     opts.function_name = "uov_tiled_blocked";
     GeneratedCode code = generateC(nest, plan, opts);
 
-    EXPECT_EQ(runGenerated(nest, code), interpretKernel(nest));
+    expectMatchesInterpreter(nest, code);
 }
 
 TEST(CodegenMatrix, PsmNestGeneratesAndRuns)
@@ -496,7 +498,7 @@ TEST(CodegenMatrix, PsmNestGeneratesAndRuns)
     opts.function_name = "uov_psm";
     GeneratedCode code = generateC(nest, plan, opts);
     EXPECT_EQ(code.temp_cells, plan.mapping.cellCount());
-    EXPECT_EQ(runGenerated(nest, code), interpretKernel(nest));
+    expectMatchesInterpreter(nest, code);
 }
 
 } // namespace

@@ -9,11 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <filesystem>
 #include <string>
 
 #include "codegen/codegen.h"
 #include "codegen/jit.h"
+#include "unique_temp_dir.h"
 
 namespace uov {
 namespace {
@@ -51,13 +51,11 @@ class ScopedEnv
 JitOptions
 freshCacheOptions(const std::string &tag)
 {
-    static int counter = 0;
+    // A new empty directory per call: no cached .so from an earlier
+    // run, or from a test process running alongside, can turn a first
+    // compile into a cache hit.
     JitOptions opts;
-    opts.cache_dir = ::testing::TempDir() + "uov_jit_" + tag + "_" +
-                     std::to_string(counter++);
-    // TempDir survives across runs; a cached .so from a previous
-    // invocation would turn first compiles into cache hits.
-    std::filesystem::remove_all(opts.cache_dir);
+    opts.cache_dir = uniqueTempDir("uov_jit_" + tag + "_");
     return opts;
 }
 

@@ -112,10 +112,16 @@ TEST(FlightRecorder, ConcurrentSnapshotsSeeWholeDigests)
     constexpr int kWriters = 4;
     constexpr uint64_t kPerWriter = 10'000;
     std::atomic<bool> stop{false};
+    // Writers start only once the reader runs, and the reader always
+    // completes a snapshot before it checks stop: otherwise a reader
+    // scheduled late sees stop already set and takes no snapshot.
+    std::atomic<bool> reader_running{false};
 
     std::vector<std::thread> writers;
     for (int w = 0; w < kWriters; ++w)
-        writers.emplace_back([&rec, w] {
+        writers.emplace_back([&rec, &reader_running, w] {
+            while (!reader_running.load(std::memory_order_acquire))
+                std::this_thread::yield();
             for (uint64_t i = 0; i < kPerWriter; ++i) {
                 uint64_t idx = w * kPerWriter + i;
                 rec.record(digestWithIndex(idx));
@@ -124,7 +130,8 @@ TEST(FlightRecorder, ConcurrentSnapshotsSeeWholeDigests)
 
     std::thread reader([&] {
         uint64_t snapshots = 0;
-        while (!stop.load(std::memory_order_relaxed)) {
+        reader_running.store(true, std::memory_order_release);
+        do {
             std::vector<FlightDigest> snap = rec.snapshot();
             uint64_t prev_seq = 0;
             for (const FlightDigest &d : snap) {
@@ -137,7 +144,7 @@ TEST(FlightRecorder, ConcurrentSnapshotsSeeWholeDigests)
                 prev_seq = d.seq;
             }
             ++snapshots;
-        }
+        } while (!stop.load(std::memory_order_relaxed));
         EXPECT_GT(snapshots, 0u);
     });
 

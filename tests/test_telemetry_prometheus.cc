@@ -7,12 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <fstream>
 #include <sstream>
 #include <thread>
 #include <vector>
 
 #include "support/metrics.h"
+#include "support/rng.h"
 #include "telemetry/prometheus.h"
 
 using namespace uov;
@@ -219,6 +222,49 @@ TEST(BucketPercentile, InterpolatesWithinBuckets)
         bucketPercentile(buckets, Histogram::kBuckets, 100, 0.5);
     EXPECT_GE(p50, 8u);
     EXPECT_LE(p50, 15u);
+}
+
+// Property: the estimate sits in the bucket of the exact nearest-rank
+// quantile (sorted[ceil(q*n) - 1]), so within a factor of 2 of it --
+// including the tail ranks that a floor(q*n) rank under-reports.
+TEST(BucketPercentile, StaysInTheExactQuantilesBucket)
+{
+    SplitMix64 rng(0xb0c4e7);
+    const uint64_t permille[] = {1, 10, 70, 250, 500, 900, 950, 990, 999,
+                                 1000};
+    for (int trial = 0; trial < 300; ++trial) {
+        uint64_t n = 1 + rng.nextBelow(trial < 100 ? 8 : 400);
+        uint64_t max_value = uint64_t{1} << rng.nextInRange(1, 20);
+        std::vector<uint64_t> samples(n);
+        Histogram h;
+        for (uint64_t &v : samples) {
+            v = rng.nextBelow(max_value);
+            h.observe(v);
+        }
+        std::sort(samples.begin(), samples.end());
+        Histogram::Snapshot snap = h.snapshot();
+        for (uint64_t k : permille) {
+            uint64_t rank = std::max<uint64_t>(1, (k * n + 999) / 1000);
+            uint64_t exact = samples[rank - 1];
+            uint64_t est = snap.percentile(static_cast<double>(k) / 1000);
+            EXPECT_EQ(std::bit_width(est), std::bit_width(exact))
+                << "q=" << k << "/1000 n=" << n << " exact=" << exact
+                << " est=" << est;
+            EXPECT_LE(est, 2 * exact) << "q=" << k << "/1000 n=" << n;
+            EXPECT_LE(exact, 2 * est) << "q=" << k << "/1000 n=" << n;
+        }
+    }
+}
+
+TEST(BucketPercentile, TwoSampleTailReportsTheSlowSample)
+{
+    // One fast and one ~125 s request: p99 is the slow one.
+    Histogram h;
+    h.observe(200);
+    h.observe(125'000'000);
+    EXPECT_LE(h.percentile(0.5), 255u);
+    EXPECT_GE(h.percentile(0.99), 125'000'000u / 2);
+    EXPECT_GE(h.quantileUpperBound(0.99), 125'000'000u);
 }
 
 TEST(BucketPercentile, EmptyHistogramIsZero)
