@@ -38,9 +38,8 @@ planStorageMapping(const LoopNest &nest, size_t stmt_index,
     UOV_LOG_INFO("pipeline: " << nest.str() << " stencil "
                               << stencil.str());
 
-    LiveOutPredicate live =
-        options.live_out ? options.live_out : live_out::nothing();
-    RegionSummary regions = analyzeRegions(nest, stmt_index, live);
+    RegionSummary regions =
+        analyzeRegions(nest, stmt_index, options.live_out);
     UOV_REQUIRE(regions.hasTemporaries(),
                 "statement writes no temporary values ("
                     << regions.str()

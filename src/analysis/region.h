@@ -7,8 +7,10 @@
  * The paper's method applies only to values that are *temporary* --
  * produced and fully consumed inside the nest, dead on exit except for
  * an explicitly live-out region.  This module computes those regions
- * exactly (by enumeration over the bounded ISG) so the applicability
- * check is real rather than asserted.
+ * exactly so the applicability check is real rather than asserted.
+ * The counts are closed-form in the box and the read distances
+ * (docs/THEORY.md, "Closed-form region counts"): no iteration point is
+ * visited except to evaluate a non-empty live-out predicate.
  */
 
 #ifndef UOV_ANALYSIS_REGION_H
@@ -23,7 +25,10 @@
 
 namespace uov {
 
-/** Which written elements remain live after the nest. */
+/**
+ * Which written elements remain live after the nest.  An empty
+ * predicate means nothing survives and costs no per-point work.
+ */
 using LiveOutPredicate = std::function<bool(const IVec &element)>;
 
 /** Exact region summary for one statement's array. */
@@ -45,8 +50,12 @@ struct RegionSummary
  * Analyze the regions of the statement's written array.
  *
  * @param live_out which written elements the rest of the program still
- *        needs (e.g. "the last row of A" in Figure 1)
- * @param max_scan enumeration guard (trip count bound)
+ *        needs (e.g. "the last row of A" in Figure 1); empty means none
+ * @param max_scan largest trip count accepted; a larger nest throws
+ *        UovUserError (a non-empty @p live_out is evaluated once per
+ *        iteration)
+ * @throws UovUserError also for every precondition analyzeDependences
+ *         rejects
  */
 RegionSummary analyzeRegions(const LoopNest &nest, size_t stmt_index,
                              const LiveOutPredicate &live_out,
@@ -55,7 +64,7 @@ RegionSummary analyzeRegions(const LoopNest &nest, size_t stmt_index,
 /** Convenience predicates. */
 namespace live_out {
 
-/** Nothing survives the nest. */
+/** Nothing survives the nest (the empty predicate). */
 LiveOutPredicate nothing();
 
 /** Every written element survives. */

@@ -17,10 +17,15 @@
  * sequence word was even and unchanged across the copy -- readers
  * never block writers, and a digest is either observed whole or not
  * at all.  A writer waits only when it laps the ring onto a slot whose
- * previous writer has not finished its copy.  Digests are trivially copyable by
- * construction (fixed char cause field, no heap), which is what makes
- * the seqlock copy race-free in practice and TSan-clean via the
- * atomic fences around it.
+ * previous writer has not finished its copy.  Digests are trivially
+ * copyable by construction (fixed char cause field, no heap), so a
+ * slot's payload is stored and copied as whole words, each one an
+ * atomic: the copy itself is free of data races.  The ordering that
+ * makes a kept copy consistent rests on the release/acquire fences
+ * around it, which ThreadSanitizer does not model (gcc warns that
+ * atomic_thread_fence is unsupported under -fsanitize=thread); a torn
+ * copy would show up in the tests' digest checks, not as a TSan
+ * report.
  */
 
 #ifndef UOV_TELEMETRY_FLIGHT_RECORDER_H
@@ -92,7 +97,8 @@ class FlightRecorder
 
   private:
     /** Digest payload as whole words, copied through atomics so the
-     *  seqlock protocol stays free of data races (TSan-clean). */
+     *  copy is free of data races; its ordering rests on fences that
+     *  TSan does not check. */
     static constexpr size_t kDigestWords =
         (sizeof(FlightDigest) + 7) / 8;
 
