@@ -4,25 +4,11 @@
 #include <sstream>
 
 #include "support/error.h"
+#include "support/tokens.h"
 
 namespace uov {
 
 namespace {
-
-/** Strip comments and surrounding whitespace. */
-std::string
-cleanLine(const std::string &raw)
-{
-    std::string s = raw;
-    auto hash = s.find('#');
-    if (hash != std::string::npos)
-        s.erase(hash);
-    auto b = s.find_first_not_of(" \t\r");
-    if (b == std::string::npos)
-        return "";
-    auto e = s.find_last_not_of(" \t\r");
-    return s.substr(b, e - b + 1);
-}
 
 [[noreturn]] void
 fail(int line_no, const std::string &msg)
@@ -31,34 +17,30 @@ fail(int line_no, const std::string &msg)
                        std::to_string(line_no) + ": " + msg);
 }
 
-/** Parse "NAME[o1,o2,...]" into a uniform access. */
+/**
+ * Parse the one "NAME[o1,o2,...]" operand left on a read/write line
+ * into a uniform access; a second operand is an error.
+ */
 Access
-parseAccess(const std::string &text, int line_no)
+parseAccess(std::istream &ss, int line_no)
 {
+    std::string text, extra;
+    ss >> text;
+    if (ss >> extra)
+        fail(line_no, "unexpected '" + extra + "' after access '" +
+                          text + "'");
     auto lb = text.find('[');
-    auto rb = text.rfind(']');
-    if (lb == std::string::npos || rb == std::string::npos || rb < lb)
+    if (lb == std::string::npos || text.back() != ']')
         fail(line_no, "expected NAME[o1,o2,...], got '" + text + "'");
     std::string name = text.substr(0, lb);
     if (name.empty())
         fail(line_no, "empty array name in '" + text + "'");
 
     std::vector<int64_t> offsets;
-    std::stringstream ss(text.substr(lb + 1, rb - lb - 1));
-    std::string tok;
-    while (std::getline(ss, tok, ',')) {
-        try {
-            size_t used = 0;
-            offsets.push_back(std::stoll(tok, &used));
-            while (used < tok.size()) {
-                if (tok[used] != ' ' && tok[used] != '\t')
-                    fail(line_no, "bad offset '" + tok + "'");
-                ++used;
-            }
-        } catch (const std::logic_error &) {
-            fail(line_no, "bad offset '" + tok + "'");
-        }
-    }
+    std::string bad;
+    if (!tokens::parseTuple(std::string_view(text).substr(lb), offsets,
+                            &bad))
+        fail(line_no, "bad offset '" + bad + "'");
     if (offsets.empty())
         fail(line_no, "access '" + text + "' has no offsets");
     return uniformAccess(name, IVec(std::move(offsets)));
@@ -88,7 +70,7 @@ parseNest(std::istream &in)
     int line_no = 0;
     while (std::getline(in, raw)) {
         ++line_no;
-        std::string line = cleanLine(raw);
+        std::string line = tokens::cleanLine(raw);
         if (line.empty())
             continue;
         std::stringstream ss(line);
@@ -103,16 +85,15 @@ parseNest(std::istream &in)
             std::vector<int64_t> los, his;
             std::string range;
             while (ss >> range) {
-                auto dots = range.find("..");
-                if (dots == std::string::npos)
+                int64_t l, h;
+                if (!tokens::parseRange(range, l, h))
                     fail(line_no, "bad range '" + range +
-                                      "', expected lo..hi");
-                try {
-                    los.push_back(std::stoll(range.substr(0, dots)));
-                    his.push_back(std::stoll(range.substr(dots + 2)));
-                } catch (const std::logic_error &) {
-                    fail(line_no, "bad range '" + range + "'");
-                }
+                                      (range.find("..") ==
+                                               std::string::npos
+                                           ? "', expected lo..hi"
+                                           : "'"));
+                los.push_back(l);
+                his.push_back(h);
             }
             if (los.empty())
                 fail(line_no, "bounds needs at least one range");
@@ -129,15 +110,11 @@ parseNest(std::istream &in)
                 fail(line_no, "'write' outside a statement block");
             if (!current->write.array.empty())
                 fail(line_no, "statement already has a write");
-            std::string rest;
-            ss >> rest;
-            current->write = parseAccess(rest, line_no);
+            current->write = parseAccess(ss, line_no);
         } else if (keyword == "read") {
             if (!current)
                 fail(line_no, "'read' outside a statement block");
-            std::string rest;
-            ss >> rest;
-            current->reads.push_back(parseAccess(rest, line_no));
+            current->reads.push_back(parseAccess(ss, line_no));
         } else {
             fail(line_no, "unknown keyword '" + keyword + "'");
         }

@@ -129,13 +129,13 @@ requestsFromNest(const LoopNest &nest, size_t &next_index,
     Stencil stencil = extractStencil(nest, 0);
     Request shortest;
     shortest.index = ++next_index;
-    shortest.objective = SearchObjective::ShortestVector;
+    shortest.verb = Verb::Shortest;
     shortest.deps = stencil.deps();
     shortest.deadline_ms = deadline_ms;
 
     Request storage;
     storage.index = ++next_index;
-    storage.objective = SearchObjective::BoundedStorage;
+    storage.verb = Verb::Storage;
     storage.deps = stencil.deps();
     storage.isg_lo = nest.lo();
     storage.isg_hi = nest.hi();
@@ -301,6 +301,7 @@ main(int argc, char **argv)
         auto nest_error = [&](const std::string &message) {
             Request failed;
             failed.index = ++next_index;
+            failed.verb = Verb::Unknown;
             failed.error = "nest '" + path + "': " + message;
             requests.push_back(std::move(failed));
         };
@@ -443,12 +444,8 @@ main(int argc, char **argv)
         }
         out = &out_file;
     }
-    size_t error_lines = 0;
-    for (const auto &line : responses) {
+    for (const auto &line : responses)
         *out << line << "\n";
-        if (line.rfind("error ", 0) == 0)
-            ++error_lines;
-    }
     out->flush();
 
     // --admin-hold: the batch is answered and flushed; keep the admin
@@ -477,7 +474,9 @@ main(int argc, char **argv)
     }
     // Partial failure is success: only an all-error batch (every
     // request drew an error line) exits nonzero.
-    bool all_errored = !responses.empty() &&
-                       error_lines == responses.size();
+    bool all_errored =
+        !responses.empty() &&
+        metrics.counter("service.request_errors").value() ==
+            responses.size();
     return all_errored ? 1 : 0;
 }

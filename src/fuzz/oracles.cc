@@ -628,12 +628,12 @@ checkService(const FuzzCase &c)
     //            share a canonical key that differs from group A's.
     std::vector<service::Request> reqs;
     std::vector<size_t> group_a, group_b; // indices into reqs
-    auto add = [&](std::vector<IVec> deps, SearchObjective obj) {
+    auto add = [&](std::vector<IVec> deps, service::Verb verb) {
         service::Request r;
         r.index = reqs.size() + 1;
         r.deps = std::move(deps);
-        r.objective = obj;
-        if (obj == SearchObjective::BoundedStorage) {
+        r.verb = verb;
+        if (verb == service::Verb::Storage) {
             r.isg_lo = c.lo;
             r.isg_hi = c.hi;
         }
@@ -647,13 +647,13 @@ checkService(const FuzzCase &c)
     with3.push_back(c.deps.front() * 3);
     std::vector<IVec> with23 = with3;
     with23.push_back(c.deps.front() * 2);
-    for (SearchObjective obj : {SearchObjective::ShortestVector,
-                                SearchObjective::BoundedStorage}) {
-        group_a.push_back(add(c.deps, obj));
-        group_a.push_back(add(rev, obj));
-        group_a.push_back(add(dup, obj));
-        group_b.push_back(add(with23, obj));
-        group_b.push_back(add(with3, obj));
+    for (service::Verb verb : {service::Verb::Shortest,
+                               service::Verb::Storage}) {
+        group_a.push_back(add(c.deps, verb));
+        group_a.push_back(add(rev, verb));
+        group_a.push_back(add(dup, verb));
+        group_b.push_back(add(with23, verb));
+        group_b.push_back(add(with3, verb));
     }
 
     std::vector<std::string> direct =
@@ -692,7 +692,7 @@ checkService(const FuzzCase &c)
         so.cache_bytes = cfg.cache_bytes;
         so.cache_shards = cfg.shards;
         so.max_visits = kVisitCap;
-        service::MetricsRegistry metrics;
+        MetricsRegistry metrics;
         service::QueryService svc(so, metrics);
         ThreadPool pool(cfg.threads);
         std::vector<std::string> got =
@@ -795,13 +795,13 @@ checkFault(const FuzzCase &c)
         return kDeadlines[rng.nextBelow(5)];
     };
     std::vector<service::Request> reqs;
-    auto add = [&](std::vector<IVec> deps, SearchObjective obj) {
+    auto add = [&](std::vector<IVec> deps, service::Verb verb) {
         service::Request r;
         r.index = reqs.size() + 1;
         r.deps = std::move(deps);
-        r.objective = obj;
+        r.verb = verb;
         r.deadline_ms = draw_deadline();
-        if (obj == SearchObjective::BoundedStorage) {
+        if (verb == service::Verb::Storage) {
             r.isg_lo = c.lo;
             r.isg_hi = c.hi;
         }
@@ -810,11 +810,11 @@ checkFault(const FuzzCase &c)
     std::vector<IVec> rev(c.deps.rbegin(), c.deps.rend());
     std::vector<IVec> dup = c.deps;
     dup.push_back(c.deps.front());
-    for (SearchObjective obj : {SearchObjective::ShortestVector,
-                                SearchObjective::BoundedStorage}) {
-        add(c.deps, obj);
-        add(rev, obj);
-        add(dup, obj);
+    for (service::Verb verb : {service::Verb::Shortest,
+                               service::Verb::Storage}) {
+        add(c.deps, verb);
+        add(rev, verb);
+        add(dup, verb);
     }
     reqs.push_back(service::parseRequestLine("query bogus",
                                              reqs.size() + 1));
@@ -850,7 +850,7 @@ checkFault(const FuzzCase &c)
         so.cache_bytes = rng.nextBelow(2) == 0 ? 0 : (64u << 20);
         so.cache_shards = rng.nextBelow(2) == 0 ? 1 : 16;
         so.max_visits = kVisitCap;
-        service::MetricsRegistry metrics;
+        MetricsRegistry metrics;
         service::QueryService svc(so, metrics);
         ThreadPool pool(1 + static_cast<unsigned>(rng.nextBelow(4)));
         std::vector<std::string> got =
@@ -911,7 +911,7 @@ checkFault(const FuzzCase &c)
         service::runBatchDirect(reqs, kVisitCap);
     service::ServiceOptions so;
     so.max_visits = kVisitCap;
-    service::MetricsRegistry metrics;
+    MetricsRegistry metrics;
     service::QueryService svc(so, metrics);
     ThreadPool pool(2);
     std::vector<std::string> got = service::runBatch(svc, reqs, pool);
@@ -1380,24 +1380,24 @@ checkDurability(const FuzzCase &c)
     std::vector<IVec> dup = c.deps;
     dup.push_back(c.deps.front());
     std::vector<service::Request> reqs;
-    auto add = [&](std::vector<IVec> deps, SearchObjective obj,
+    auto add = [&](std::vector<IVec> deps, service::Verb verb,
                    int64_t deadline) {
         service::Request r;
         r.index = reqs.size() + 1;
         r.deps = std::move(deps);
-        r.objective = obj;
+        r.verb = verb;
         r.deadline_ms = deadline;
-        if (obj == SearchObjective::BoundedStorage) {
+        if (verb == service::Verb::Storage) {
             r.isg_lo = c.lo;
             r.isg_hi = c.hi;
         }
         reqs.push_back(std::move(r));
     };
-    for (SearchObjective obj : {SearchObjective::ShortestVector,
-                                SearchObjective::BoundedStorage}) {
-        add(c.deps, obj, -1);
-        add(rev, obj, 0);
-        add(dup, obj, -1);
+    for (service::Verb verb : {service::Verb::Shortest,
+                               service::Verb::Storage}) {
+        add(c.deps, verb, -1);
+        add(rev, verb, 0);
+        add(dup, verb, -1);
     }
     size_t solve_requests = reqs.size();
     reqs.push_back(service::parseRequestLine("query bogus",
@@ -1410,7 +1410,7 @@ checkDurability(const FuzzCase &c)
         service::ServiceOptions so;
         so.max_visits = kVisitCap;
         so.store_path = svc_path;
-        service::MetricsRegistry metrics;
+        MetricsRegistry metrics;
         service::QueryService svc(so, metrics);
         ThreadPool pool(2);
         first = service::runBatch(svc, reqs, pool);
@@ -1427,7 +1427,7 @@ checkDurability(const FuzzCase &c)
         // come from the store itself rather than the preload.
         if (rng.nextBelow(2) == 0)
             so.cache_bytes = 0;
-        service::MetricsRegistry metrics;
+        MetricsRegistry metrics;
         service::QueryService svc(so, metrics);
         ThreadPool pool(2);
         std::vector<std::string> second =
@@ -1453,7 +1453,7 @@ checkDurability(const FuzzCase &c)
         service::ServiceOptions so;
         so.max_visits = kVisitCap;
         so.store_path = svc_path;
-        service::MetricsRegistry metrics;
+        MetricsRegistry metrics;
         service::QueryService svc(so, metrics);
         if (metrics.counter("service.store.open_errors").value() != 1)
             return "store_open failure was not degraded to storeless "
@@ -1488,7 +1488,7 @@ checkDurability(const FuzzCase &c)
                    "' is worse than the ov_o floor";
     }
     {
-        service::MetricsRegistry metrics;
+        MetricsRegistry metrics;
         service::AdmissionOptions ao;
         ao.high_water = 1;
         service::AdmissionController admission(ao, metrics);
@@ -1557,7 +1557,7 @@ checkDurability(const FuzzCase &c)
         config.seed = rng.next();
         config.action = failpoint::Action::Throw;
         failpoint::Registry::instance().arm("admission", config);
-        service::MetricsRegistry metrics;
+        MetricsRegistry metrics;
         service::AdmissionOptions ao;
         ao.high_water = 4;
         service::AdmissionController admission(ao, metrics);

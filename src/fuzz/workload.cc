@@ -21,11 +21,11 @@ makeWorkload(const WorkloadOptions &opt)
         r.deps = c.deps;
         r.deadline_ms = opt.deadline_ms;
         if (pool.size() % 2 == 0) {
-            r.objective = SearchObjective::BoundedStorage;
+            r.verb = service::Verb::Storage;
             r.isg_lo = c.lo;
             r.isg_hi = c.hi;
         } else {
-            r.objective = SearchObjective::ShortestVector;
+            r.verb = service::Verb::Shortest;
         }
         pool.push_back(std::move(r));
     }
@@ -44,10 +44,7 @@ std::string
 renderRequest(const service::Request &request)
 {
     std::ostringstream oss;
-    oss << "query "
-        << (request.objective == SearchObjective::BoundedStorage
-                ? "storage"
-                : "shortest");
+    oss << "query " << telemetry::FlightDigest::verbName(request.verb);
     if (request.deadline_ms != -1)
         oss << " deadline_ms " << request.deadline_ms;
     if (request.isg_lo) {

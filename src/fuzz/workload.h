@@ -41,8 +41,8 @@ struct WorkloadOptions
 std::vector<service::Request> makeWorkload(const WorkloadOptions &opt);
 
 /**
- * Render one solve request back into its protocol line
- * ("query shortest deadline_ms 5 deps [1,0] ..."), the inverse of
+ * Render one well-formed request of any verb back into its protocol
+ * line ("query shortest deadline_ms 5 deps [1,0] ..."), the inverse of
  * parseRequestLine -- so a generated workload can be written to a
  * file and replayed through uovd --input.
  */

@@ -13,109 +13,112 @@
 #include "codegen/codegen.h"
 #include "codegen/jit.h"
 #include "support/error.h"
-#include "tune/tune.h"
 #include "support/failpoint.h"
 #include "support/logging.h"
+#include "support/tokens.h"
 #include "support/trace.h"
 #include "telemetry/trace_context.h"
+#include "tune/tune.h"
 
 namespace uov {
 namespace service {
 
 namespace {
 
-/** Strip comments and surrounding whitespace (nest_parser rules). */
-std::string
-cleanLine(const std::string &raw)
-{
-    std::string s = raw;
-    auto hash = s.find('#');
-    if (hash != std::string::npos)
-        s.erase(hash);
-    auto b = s.find_first_not_of(" \t\r");
-    if (b == std::string::npos)
-        return "";
-    auto e = s.find_last_not_of(" \t\r");
-    return s.substr(b, e - b + 1);
-}
-
-/** Parse one signed integer, rejecting trailing junk. */
-bool
-parseInt(const std::string &tok, int64_t &out)
-{
-    try {
-        size_t used = 0;
-        out = std::stoll(tok, &used);
-        return used == tok.size();
-    } catch (const std::logic_error &) {
-        return false;
-    }
-}
-
-/** Parse "[o1,o2,...]" (nest_parser access-offset syntax). */
-bool
-parseVec(const std::string &tok, IVec &out)
-{
-    if (tok.size() < 3 || tok.front() != '[' || tok.back() != ']')
-        return false;
-    std::vector<int64_t> coords;
-    std::stringstream ss(tok.substr(1, tok.size() - 2));
-    std::string part;
-    while (std::getline(ss, part, ',')) {
-        int64_t v;
-        if (!parseInt(part, v))
-            return false;
-        coords.push_back(v);
-    }
-    if (coords.empty())
-        return false;
-    out = IVec(std::move(coords));
-    return true;
-}
-
-/** Parse "lo..hi" (nest_parser bounds syntax). */
-bool
-parseRange(const std::string &tok, int64_t &lo, int64_t &hi)
-{
-    auto dots = tok.find("..");
-    if (dots == std::string::npos)
-        return false;
-    return parseInt(tok.substr(0, dots), lo) &&
-           parseInt(tok.substr(dots + 2), hi);
-}
-
-using SolveFn = std::function<ServiceAnswer(const Stencil &)>;
+using FD = telemetry::FlightDigest;
+using Kind = FD::Outcome;
 
 /**
- * Shared response formatter: the service path and the direct
- * reference path must agree byte-for-byte, including on errors, so
- * both route through this one function.
+ * A request's typed fate: which of the four kinds, why (the degraded
+ * reason or the error message; empty when optimal), and the answer
+ * text after "answer <idx> ".  renderOutcome is the only place it
+ * becomes bytes.
  */
-std::string
-answerRequest(const Request &request, const SolveFn &solve)
+struct Outcome
 {
-    std::ostringstream oss;
-    if (!request.error.empty()) {
-        oss << "error " << request.index << " " << request.error;
-        return oss.str();
-    }
+    Kind kind = Kind::Optimal;
+    std::string cause;
+    std::string payload;
+};
+
+Outcome
+failure(std::string message)
+{
+    return {Kind::Error, std::move(message), ""};
+}
+
+/** The one response-line renderer. */
+std::string
+renderOutcome(size_t index, const Outcome &outcome)
+{
+    bool error = outcome.kind == Kind::Error;
+    std::string line = error ? "error " : "answer ";
+    line += std::to_string(index);
+    line += ' ';
+    line += error ? outcome.cause : outcome.payload;
+    return line;
+}
+
+/** The degraded reason that marks an admission-shed answer. */
+constexpr const char *kShedReason = "shed";
+
+/**
+ * Where a shortest/storage answer comes from: the service, the direct
+ * reference search, or the shed floor.  The handlers are otherwise
+ * shared, so those paths agree byte-for-byte, errors included.
+ */
+using SolveFn = std::function<ServiceAnswer(const Stencil &)>;
+
+Outcome
+solveOutcome(const Request &, const Stencil &stencil,
+             const SolveFn &solve)
+{
+    ServiceAnswer answer = solve(stencil);
+    failpoint::fire("answer_render");
+    TRACE_SPAN("service.render");
+    if (!answer.degraded)
+        return {Kind::Optimal, "", answer.str()};
+    Kind kind = answer.degraded_reason == kShedReason ? Kind::Shed
+                                                      : Kind::Degraded;
+    return {kind, answer.degraded_reason, answer.str()};
+}
+
+Outcome nativeOutcome(const Request &, const Stencil &, const SolveFn &);
+Outcome tuneOutcome(const Request &, const Stencil &, const SolveFn &);
+
+/** The per-verb handler table; its verbs are the protocol's. */
+struct VerbHandler
+{
+    Verb verb;
+    Outcome (*run)(const Request &, const Stencil &, const SolveFn &);
+};
+
+constexpr VerbHandler kHandlers[] = {
+    {Verb::Shortest, solveOutcome},
+    {Verb::Storage, solveOutcome},
+    {Verb::Native, nativeOutcome},
+    {Verb::Tune, tuneOutcome},
+};
+
+/**
+ * Run @p request through its verb's handler.  Every library error --
+ * bad input, overflow, an armed fail point -- is the request's error
+ * Outcome.
+ */
+Outcome
+execute(const Request &request, const SolveFn &solve)
+{
+    if (!request.error.empty())
+        return failure(request.error);
     try {
         Stencil stencil(request.deps);
-        ServiceAnswer answer = solve(stencil);
-        failpoint::fire("answer_render");
-        TRACE_SPAN("service.render");
-        oss << "answer " << request.index << " " << answer.str();
-    } catch (const UovUserError &e) {
-        oss.str("");
-        oss << "error " << request.index << " " << e.what();
-    } catch (const UovOverflowError &e) {
-        oss.str("");
-        oss << "error " << request.index << " " << e.what();
-    } catch (const failpoint::FailPointError &e) {
-        oss.str("");
-        oss << "error " << request.index << " " << e.what();
+        for (const VerbHandler &h : kHandlers)
+            if (h.verb == request.verb)
+                return h.run(request, stencil, solve);
+        return failure("request has no verb");
+    } catch (const UovError &e) {
+        return failure(e.what());
     }
-    return oss.str();
 }
 
 } // namespace
@@ -130,6 +133,7 @@ parseRequestLine(const std::string &line, size_t index,
     r.deadline_ms = default_deadline_ms < 0 ? -1 : default_deadline_ms;
     auto fail = [&](const std::string &msg) {
         r.error = msg;
+        r.verb = Verb::Unknown;
         return r;
     };
 
@@ -140,17 +144,16 @@ parseRequestLine(const std::string &line, size_t index,
         return fail("expected 'query', got '" + tok + "'");
 
     ss >> tok;
-    if (tok == "shortest") {
-        r.objective = SearchObjective::ShortestVector;
-    } else if (tok == "storage") {
-        r.objective = SearchObjective::BoundedStorage;
-    } else if (tok == "native") {
-        r.native = true;
-    } else if (tok == "tune") {
-        r.tune = true;
-    } else {
-        return fail("bad objective '" + tok +
-                    "', expected shortest|storage|native|tune");
+    r.verb = Verb::Unknown;
+    for (const VerbHandler &h : kHandlers)
+        if (tok == FD::verbName(h.verb))
+            r.verb = h.verb;
+    if (r.verb == Verb::Unknown) {
+        std::string verbs;
+        for (const VerbHandler &h : kHandlers)
+            verbs += (verbs.empty() ? "" : "|") +
+                     std::string(FD::verbName(h.verb));
+        return fail("bad objective '" + tok + "', expected " + verbs);
     }
 
     if (!(ss >> tok))
@@ -160,7 +163,7 @@ parseRequestLine(const std::string &line, size_t index,
         if (!(ss >> tok))
             return fail("'deadline_ms' needs a millisecond count");
         int64_t ms;
-        if (!parseInt(tok, ms) || ms < -1)
+        if (!tokens::parseInt(tok, ms) || ms < -1)
             return fail("bad deadline '" + tok +
                         "', expected -1 or a millisecond count");
         r.deadline_ms = ms;
@@ -172,7 +175,7 @@ parseRequestLine(const std::string &line, size_t index,
         std::vector<int64_t> los, his;
         while (ss >> tok && tok != "deps") {
             int64_t lo, hi;
-            if (!parseRange(tok, lo, hi))
+            if (!tokens::parseRange(tok, lo, hi))
                 return fail("bad range '" + tok +
                             "', expected lo..hi");
             if (lo > hi)
@@ -192,25 +195,21 @@ parseRequestLine(const std::string &line, size_t index,
         return fail("expected 'bounds' or 'deps', got '" + tok + "'");
 
     while (ss >> tok) {
-        IVec v;
-        if (!parseVec(tok, v))
+        std::vector<int64_t> coords;
+        if (!tokens::parseTuple(tok, coords) || coords.empty())
             return fail("bad dependence '" + tok +
                         "', expected [o1,o2,...]");
-        r.deps.push_back(std::move(v));
+        r.deps.emplace_back(coords);
     }
     if (r.deps.empty())
         return fail("'deps' needs at least one vector");
 
-    if (r.native && !r.isg_lo)
-        return fail("native query needs 'bounds'");
-    if (r.tune && !r.isg_lo)
-        return fail("tune query needs 'bounds'");
-    bool bounded_objective = r.native || r.tune ||
-                             r.objective == SearchObjective::BoundedStorage;
-    if (!r.native && !r.tune &&
-        r.objective == SearchObjective::BoundedStorage && !r.isg_lo)
-        return fail("storage query needs 'bounds'");
-    if (!bounded_objective && r.isg_lo)
+    // Every verb but shortest works over the bounds box.
+    bool bounded = r.verb != Verb::Shortest;
+    if (bounded && !r.isg_lo)
+        return fail(std::string(FD::verbName(r.verb)) +
+                    " query needs 'bounds'");
+    if (!bounded && r.isg_lo)
         return fail("'bounds' is only valid for storage, native, and "
                     "tune queries");
     if (r.isg_lo && r.isg_lo->dim() != r.deps[0].dim())
@@ -227,7 +226,7 @@ parseRequests(std::istream &in, int64_t default_deadline_ms)
     std::vector<Request> requests;
     std::string raw;
     while (std::getline(in, raw)) {
-        std::string line = cleanLine(raw);
+        std::string line = tokens::cleanLine(raw);
         if (line.empty())
             continue;
         requests.push_back(parseRequestLine(line, requests.size() + 1,
@@ -255,144 +254,140 @@ bestOfThreeNs(const std::function<void()> &fn)
     return best < 1 ? 1 : best;
 }
 
-} // namespace
-
-std::string
-runNativeRequest(const Request &request)
+/**
+ * 'query native': realize the stencil as the paper's single-statement
+ * nest over the bounds box, plan its storage mapping, JIT-compile the
+ * lexicographic and register-tiled OV-mapped kernels, verify both
+ * bit-exactly against the interpreter, and report the timings.
+ */
+Outcome
+nativeOutcome(const Request &request, const Stencil &stencil,
+              const SolveFn &)
 {
+    // The deadline gate precedes the compiler probe so a 0 ms
+    // request draws the same (deterministic) error line on every
+    // host.  Native timing has no anytime fallback -- a partial
+    // compile is worthless -- so an expired budget is an error,
+    // not a degraded answer.
+    Deadline deadline = Deadline::afterMillis(request.deadline_ms);
+    auto requireTime = [&](const char *stage) {
+        UOV_REQUIRE(!deadline.expired(),
+                    "deadline_ms " << request.deadline_ms
+                        << " expired " << stage
+                        << "; native timing needs the full run "
+                           "(raise or drop the deadline)");
+    };
+    requireTime("before compilation");
+    UOV_REQUIRE(JitCompiler::hostCompilerAvailable(),
+                "native query needs a host C compiler (set UOV_CC "
+                "or put cc, gcc, or clang on PATH)");
+
+    // Realize the stencil as the paper's single-statement nest
+    // over the bounds box (reads at minus each distance).
+    LoopNest nest = nestFromStencil(stencil, *request.isg_lo,
+                                    *request.isg_hi, "native");
+
+    MappingPlan plan = planStorageMapping(nest, 0);
+    GenStorage storage = plan.mapping.ov()[0] >= 1
+                             ? GenStorage::OvMapped
+                             : GenStorage::Expanded;
+
+    std::vector<double> ref;
+    int64_t interp_ns =
+        bestOfThreeNs([&] { ref = interpretKernel(nest); });
+    requireTime("after the interpreter baseline");
+
+    JitCompiler jit;
+    GeneratedCode lex_code, rtile_code;
+    {
+        CodegenOptions opts;
+        opts.storage = storage;
+        opts.function_name = "uov_native_lex";
+        lex_code = generateC(nest, plan, opts);
+        opts.schedule = GenSchedule::RegisterTiled;
+        opts.function_name = "uov_native_rtile";
+        rtile_code = generateC(nest, plan, opts);
+    }
+
+    auto timeKernel = [&](const GeneratedCode &code) {
+        requireTime("before JIT compilation");
+        JitKernel kernel = jit.compileAndLoad(code);
+        auto fn =
+            kernel.fn<void (*)(double *)>(code.function_name);
+        std::vector<double> out(ref.size(), 0.0);
+        int64_t ns = bestOfThreeNs([&] { fn(out.data()); });
+        UOV_REQUIRE(out == ref,
+                    "native kernel " << code.function_name
+                        << " diverged from the interpreter");
+        return ns;
+    };
+    int64_t lex_ns = timeKernel(lex_code);
+    int64_t rtile_ns = timeKernel(rtile_code);
+
     std::ostringstream oss;
-    if (!request.error.empty()) {
-        oss << "error " << request.index << " " << request.error;
-        return oss.str();
-    }
-    try {
-        Stencil stencil(request.deps);
-        // The deadline gate precedes the compiler probe so a 0 ms
-        // request draws the same (deterministic) error line on every
-        // host.  Native timing has no anytime fallback -- a partial
-        // compile is worthless -- so an expired budget is an error,
-        // not a degraded answer.
-        Deadline deadline = Deadline::afterMillis(request.deadline_ms);
-        auto requireTime = [&](const char *stage) {
-            UOV_REQUIRE(!deadline.expired(),
-                        "deadline_ms " << request.deadline_ms
-                            << " expired " << stage
-                            << "; native timing needs the full run "
-                               "(raise or drop the deadline)");
-        };
-        requireTime("before compilation");
-        UOV_REQUIRE(JitCompiler::hostCompilerAvailable(),
-                    "native query needs a host C compiler (set UOV_CC "
-                    "or put cc, gcc, or clang on PATH)");
-
-        // Realize the stencil as the paper's single-statement nest
-        // over the bounds box (reads at minus each distance).
-        LoopNest nest = nestFromStencil(stencil, *request.isg_lo,
-                                        *request.isg_hi, "native");
-
-        MappingPlan plan = planStorageMapping(nest, 0);
-        GenStorage storage = plan.mapping.ov()[0] >= 1
-                                 ? GenStorage::OvMapped
-                                 : GenStorage::Expanded;
-
-        std::vector<double> ref;
-        int64_t interp_ns =
-            bestOfThreeNs([&] { ref = interpretKernel(nest); });
-        requireTime("after the interpreter baseline");
-
-        JitCompiler jit;
-        GeneratedCode lex_code, rtile_code;
-        {
-            CodegenOptions opts;
-            opts.storage = storage;
-            opts.function_name = "uov_native_lex";
-            lex_code = generateC(nest, plan, opts);
-            opts.schedule = GenSchedule::RegisterTiled;
-            opts.function_name = "uov_native_rtile";
-            rtile_code = generateC(nest, plan, opts);
-        }
-
-        auto timeKernel = [&](const GeneratedCode &code) {
-            requireTime("before JIT compilation");
-            JitKernel kernel = jit.compileAndLoad(code);
-            auto fn =
-                kernel.fn<void (*)(double *)>(code.function_name);
-            std::vector<double> out(ref.size(), 0.0);
-            int64_t ns = bestOfThreeNs([&] { fn(out.data()); });
-            UOV_REQUIRE(out == ref,
-                        "native kernel " << code.function_name
-                            << " diverged from the interpreter");
-            return ns;
-        };
-        int64_t lex_ns = timeKernel(lex_code);
-        int64_t rtile_ns = timeKernel(rtile_code);
-
-        oss << "answer " << request.index << " native uov="
-            << plan.mapping.ov().str()
-            << " cells=" << plan.mapping.cellCount() << " storage="
-            << (storage == GenStorage::OvMapped ? "ov" : "expanded")
-            << " unroll=" << rtile_code.unroll
-            << " jam=" << rtile_code.jam << std::fixed
-            << std::setprecision(2) << " interp_ns=" << interp_ns
-            << " lex_ns=" << lex_ns << " rtile_ns=" << rtile_ns
-            << " speedup_lex="
-            << static_cast<double>(interp_ns) /
-                   static_cast<double>(lex_ns)
-            << " speedup_rtile="
-            << static_cast<double>(interp_ns) /
-                   static_cast<double>(rtile_ns)
-            << " verified=ok";
-    } catch (const UovError &e) {
-        oss.str("");
-        oss << "error " << request.index << " " << e.what();
-    }
-    return oss.str();
+    oss << "native uov="
+        << plan.mapping.ov().str()
+        << " cells=" << plan.mapping.cellCount() << " storage="
+        << (storage == GenStorage::OvMapped ? "ov" : "expanded")
+        << " unroll=" << rtile_code.unroll
+        << " jam=" << rtile_code.jam << std::fixed
+        << std::setprecision(2) << " interp_ns=" << interp_ns
+        << " lex_ns=" << lex_ns << " rtile_ns=" << rtile_ns
+        << " speedup_lex="
+        << static_cast<double>(interp_ns) /
+               static_cast<double>(lex_ns)
+        << " speedup_rtile="
+        << static_cast<double>(interp_ns) /
+               static_cast<double>(rtile_ns)
+        << " verified=ok";
+    return {Kind::Optimal, "", oss.str()};
 }
 
-std::string
-runTuneRequest(const Request &request)
+/**
+ * 'query tune': the joint (UOV, schedule, tile/unroll) tuner under the
+ * request deadline, scored by the deterministic cache/TLB simulator;
+ * then, with a host compiler and time left, the top simulator-ranked
+ * lowerable candidates and the default lexicographic kernel are
+ * JIT-measured (each verified bit-exactly against the interpreter).
+ */
+Outcome
+tuneOutcome(const Request &request, const Stencil &stencil,
+            const SolveFn &)
 {
+    TRACE_SPAN("service.tune");
+    LoopNest nest = nestFromStencil(stencil, *request.isg_lo,
+                                    *request.isg_hi, "tune");
+
+    tune::TuneOptions topt;
+    topt.budget.deadline = Deadline::afterMillis(request.deadline_ms);
+    tune::SimEvaluator sim;
+    topt.evaluator = &sim;
+    tune::Tuner tuner(nest, topt);
+    tune::TuneResult res = tuner.run();
+
+    const tune::TuneCandidate &best = res.best;
+    bool ov = best.storage == GenStorage::OvMapped;
     std::ostringstream oss;
-    if (!request.error.empty()) {
-        oss << "error " << request.index << " " << request.error;
-        return oss.str();
+    oss << "tune uov=" << (ov ? best.uov().str() : "none")
+        << " storage=" << (ov ? "ov" : "expanded")
+        << " schedule=" << best.schedule.str()
+        << " cells=" << best.cells() << " sim_cycles="
+        << static_cast<int64_t>(res.best_score)
+        << " evaluated=" << res.evaluated << "/"
+        << res.candidates_total;
+    Outcome outcome;
+    if (res.degraded()) {
+        oss << " degraded=" << res.degraded_reason;
+        outcome = {Kind::Degraded, res.degraded_reason, ""};
     }
-    try {
-        TRACE_SPAN("service.tune");
-        Stencil stencil(request.deps);
-        LoopNest nest = nestFromStencil(stencil, *request.isg_lo,
-                                        *request.isg_hi, "tune");
 
-        tune::TuneOptions topt;
-        topt.budget.deadline = Deadline::afterMillis(request.deadline_ms);
-        tune::SimEvaluator sim;
-        topt.evaluator = &sim;
-        tune::Tuner tuner(nest, topt);
-        tune::TuneResult res = tuner.run();
-
-        const tune::TuneCandidate &best = res.best;
-        bool ov = best.storage == GenStorage::OvMapped;
-        oss << "answer " << request.index << " tune uov="
-            << (ov ? best.uov().str() : "none") << " storage="
-            << (ov ? "ov" : "expanded")
-            << " schedule=" << best.schedule.str()
-            << " cells=" << best.cells() << " sim_cycles="
-            << static_cast<int64_t>(res.best_score)
-            << " evaluated=" << res.evaluated << "/"
-            << res.candidates_total;
-        if (res.degraded())
-            oss << " degraded=" << res.degraded_reason;
-
-        // Measurement tail: wall-clock figures, exempt from the
-        // byte-determinism contract like 'query native' timings.
-        if (!JitCompiler::hostCompilerAvailable()) {
-            oss << " measure=unavailable";
-            return oss.str();
-        }
-        if (topt.budget.deadline.expired()) {
-            oss << " measure=deadline";
-            return oss.str();
-        }
+    // Measurement tail: wall-clock figures, exempt from the
+    // byte-determinism contract like 'query native' timings.
+    if (!JitCompiler::hostCompilerAvailable()) {
+        oss << " measure=unavailable";
+    } else if (topt.budget.deadline.expired()) {
+        oss << " measure=deadline";
+    } else {
         tune::JitEvaluator jit_eval;
         tune::TuneContext ctx(nest, tuner.stencil());
         const auto &cands = tuner.candidates();
@@ -430,24 +425,102 @@ runTuneRequest(const Request &request)
             << " speedup_vs_lex=" << lex_ns / best_ns
             << " best_measured={" << cands[best_idx].str() << "}"
             << " verified=ok";
-    } catch (const UovError &e) {
-        oss.str("");
-        oss << "error " << request.index << " " << e.what();
     }
-    return oss.str();
+    outcome.payload = oss.str();
+    return outcome;
 }
+
+Outcome
+serviceOutcome(QueryService &service, const Request &request)
+{
+    return execute(request, [&](const Stencil &s) {
+        return service.query(s, request.objective(), request.isg_lo,
+                             request.isg_hi, request.deadline_ms);
+    });
+}
+
+Outcome
+directOutcome(const Request &request, uint64_t max_visits)
+{
+    return execute(request, [&](const Stencil &s) {
+        SearchBudget budget;
+        budget.max_nodes = max_visits;
+        budget.deadline = Deadline::afterMillis(request.deadline_ms);
+        return solveDirect(s, request.objective(), request.isg_lo,
+                           request.isg_hi, budget);
+    });
+}
+
+Outcome
+shedOutcome(const Request &request)
+{
+    return execute(request, [&](const Stencil &s) {
+        // The anytime floor: a zero-node budget deterministically
+        // returns the certified ov_o incumbent without expanding a
+        // single search node -- exactly what an overloaded server can
+        // afford.
+        SearchBudget budget;
+        budget.max_nodes = 0;
+        ServiceAnswer answer =
+            solveDirect(s, request.objective(), request.isg_lo,
+                        request.isg_hi, budget);
+        answer.degraded = true;
+        answer.degraded_reason = kShedReason;
+        return answer;
+    });
+}
+
+/**
+ * One request's telemetry epilogue: digest into the flight recorder,
+ * sample into the SLO window, optionally log the non-optimal outcome
+ * (inside the request's TraceScope, so the log line carries the id).
+ */
+void
+recordOutcome(const TelemetryPlane &plane, const Request &request,
+              telemetry::TraceContext ctx,
+              const telemetry::RequestAnnotations &notes,
+              const Outcome &outcome, uint64_t wall_us)
+{
+    FD digest;
+    digest.trace_id = ctx.id;
+    digest.key_hash = notes.key_hash;
+    digest.request_index = request.index;
+    digest.nodes = notes.nodes;
+    digest.wall_us = wall_us;
+    digest.verb = request.verb;
+    digest.outcome = outcome.kind;
+    digest.cache_hit = notes.cache_hit;
+    digest.store_hit = notes.store_hit;
+    digest.coalesced = notes.coalesced;
+    digest.setCause(outcome.cause);
+    if (plane.flight != nullptr)
+        plane.flight->record(digest);
+    if (plane.slo != nullptr)
+        plane.slo->record(outcome.kind, wall_us);
+    if (plane.log_outcomes && outcome.kind != Kind::Optimal)
+        UOV_LOG_INFO("request " << request.index << " outcome="
+                     << FD::outcomeName(outcome.kind) << " cause='"
+                     << digest.causeStr() << "' verb="
+                     << FD::verbName(request.verb)
+                     << " wall_us=" << wall_us);
+}
+
+/** Wall-clock microseconds since @p start (clamped non-negative). */
+uint64_t
+wallMicrosSince(Deadline::Clock::time_point start)
+{
+    int64_t us = std::chrono::duration_cast<std::chrono::microseconds>(
+                     Deadline::Clock::now() - start)
+                     .count();
+    return us < 0 ? 0 : static_cast<uint64_t>(us);
+}
+
+} // namespace
 
 std::string
 runRequest(QueryService &service, const Request &request)
 {
-    if (request.native)
-        return runNativeRequest(request);
-    if (request.tune)
-        return runTuneRequest(request);
-    return answerRequest(request, [&](const Stencil &s) {
-        return service.query(s, request.objective, request.isg_lo,
-                             request.isg_hi, request.deadline_ms);
-    });
+    return renderOutcome(request.index, serviceOutcome(service, request));
 }
 
 Watchdog::Watchdog(int64_t poll_ms, Counter *overdue)
@@ -577,129 +650,8 @@ AdmissionController::shedding() const
 std::string
 shedRequest(const Request &request)
 {
-    return answerRequest(request, [&](const Stencil &s) {
-        // The PR 4 anytime floor: a zero-node budget deterministically
-        // returns the certified ov_o incumbent without expanding a
-        // single search node -- exactly what an overloaded server can
-        // afford.
-        SearchBudget budget;
-        budget.max_nodes = 0;
-        ServiceAnswer answer =
-            solveDirect(s, request.objective, request.isg_lo,
-                        request.isg_hi, budget);
-        answer.degraded = true;
-        answer.degraded_reason = "shed";
-        return answer;
-    });
+    return renderOutcome(request.index, shedOutcome(request));
 }
-
-telemetry::FlightDigest::Outcome
-classifyResponse(const std::string &response)
-{
-    using Outcome = telemetry::FlightDigest::Outcome;
-    if (response.rfind("error ", 0) == 0)
-        return Outcome::Error;
-    auto pos = response.find(" degraded=");
-    if (pos == std::string::npos)
-        return Outcome::Optimal;
-    // The reason is the whitespace-delimited token after '='.
-    size_t begin = pos + 10;
-    size_t end = response.find(' ', begin);
-    std::string reason = response.substr(
-        begin, end == std::string::npos ? std::string::npos
-                                        : end - begin);
-    return reason == "shed" ? Outcome::Shed : Outcome::Degraded;
-}
-
-namespace {
-
-telemetry::FlightDigest::Verb
-requestVerb(const Request &request)
-{
-    using Verb = telemetry::FlightDigest::Verb;
-    if (!request.error.empty())
-        return Verb::Unknown;
-    if (request.native)
-        return Verb::Native;
-    if (request.tune)
-        return Verb::Tune;
-    return request.objective == SearchObjective::BoundedStorage
-               ? Verb::Storage
-               : Verb::Shortest;
-}
-
-/** The digest's cause field: degraded reason or error message head. */
-std::string
-responseCause(const std::string &response,
-              telemetry::FlightDigest::Outcome outcome)
-{
-    using Outcome = telemetry::FlightDigest::Outcome;
-    if (outcome == Outcome::Error) {
-        // Skip "error <idx> "; keep the message head.
-        size_t sp = response.find(' ');
-        sp = sp == std::string::npos ? std::string::npos
-                                     : response.find(' ', sp + 1);
-        return sp == std::string::npos ? response
-                                       : response.substr(sp + 1);
-    }
-    if (outcome == Outcome::Degraded || outcome == Outcome::Shed) {
-        size_t pos = response.find(" degraded=");
-        size_t begin = pos + 10;
-        size_t end = response.find(' ', begin);
-        return response.substr(begin, end == std::string::npos
-                                          ? std::string::npos
-                                          : end - begin);
-    }
-    return "";
-}
-
-/**
- * One request's telemetry epilogue: digest into the flight recorder,
- * sample into the SLO window, optionally log the non-optimal outcome
- * (inside the request's TraceScope, so the log line carries the id).
- */
-void
-recordOutcome(const TelemetryPlane &plane, const Request &request,
-              telemetry::TraceContext ctx,
-              const telemetry::RequestAnnotations &notes,
-              const std::string &response, uint64_t wall_us)
-{
-    using FD = telemetry::FlightDigest;
-    FD digest;
-    digest.trace_id = ctx.id;
-    digest.key_hash = notes.key_hash;
-    digest.request_index = request.index;
-    digest.nodes = notes.nodes;
-    digest.wall_us = wall_us;
-    digest.verb = requestVerb(request);
-    digest.outcome = classifyResponse(response);
-    digest.cache_hit = notes.cache_hit;
-    digest.store_hit = notes.store_hit;
-    digest.coalesced = notes.coalesced;
-    digest.setCause(responseCause(response, digest.outcome));
-    if (plane.flight != nullptr)
-        plane.flight->record(digest);
-    if (plane.slo != nullptr)
-        plane.slo->record(digest.outcome, wall_us);
-    if (plane.log_outcomes && digest.outcome != FD::Outcome::Optimal)
-        UOV_LOG_INFO("request " << request.index << " outcome="
-                     << FD::outcomeName(digest.outcome) << " cause='"
-                     << digest.causeStr() << "' verb="
-                     << FD::verbName(digest.verb)
-                     << " wall_us=" << wall_us);
-}
-
-/** Wall-clock microseconds since @p start (clamped non-negative). */
-uint64_t
-wallMicrosSince(Deadline::Clock::time_point start)
-{
-    int64_t us = std::chrono::duration_cast<std::chrono::microseconds>(
-                     Deadline::Clock::now() - start)
-                     .count();
-    return us < 0 ? 0 : static_cast<uint64_t>(us);
-}
-
-} // namespace
 
 std::vector<std::string>
 runBatch(QueryService &service, const std::vector<Request> &requests,
@@ -707,32 +659,49 @@ runBatch(QueryService &service, const std::vector<Request> &requests,
          const TelemetryPlane *plane)
 {
     std::vector<std::string> responses(requests.size());
-    Gauge &depth = service.metrics().gauge("service.queue_depth");
-    Histogram &queue_wait =
-        service.metrics().histogram("service.queue_wait_us");
-    Watchdog watchdog(
-        25, &service.metrics().counter("service.watchdog.overdue"));
+    MetricsRegistry &metrics = service.metrics();
+    Gauge &depth = metrics.gauge("service.queue_depth");
+    Histogram &queue_wait = metrics.histogram("service.queue_wait_us");
+    // One counter per Outcome kind (shed counts as degraded); the
+    // three sum to the batch size (asserted by the fault fuzz oracle).
+    Counter &optimal = metrics.counter("service.optimal");
+    Counter &degraded = metrics.counter("service.degraded");
+    Counter &errors = metrics.counter("service.request_errors");
+    Watchdog watchdog(25, &metrics.counter("service.watchdog.overdue"));
     uint64_t fires_before =
         failpoint::Registry::instance().totalFires();
 
-    // Telemetry wrapper for responses produced on the submitting
-    // thread (shed answers, admission-failpoint errors): same scope,
-    // digest, and opt-in trace_id token as pooled requests.
-    auto inlineResponse = [&](const Request &request,
-                              const std::function<std::string()> &fn) {
-        if (plane == nullptr)
-            return fn();
-        telemetry::TraceContext ctx = telemetry::newTrace();
-        auto started = Deadline::Clock::now();
-        std::string response;
-        {
-            telemetry::TraceScope scope(ctx);
-            response = fn();
-            recordOutcome(*plane, request, ctx, scope.notes(),
-                          response, wallMicrosSince(started));
+    // Every request ends here, on whichever thread produced it: @p fn
+    // runs inside the request's TraceScope (when a plane is attached)
+    // and anything it throws -- an armed fail point, even an internal
+    // error -- becomes the request's error Outcome.  The Outcome is
+    // counted, recorded, and rendered once.
+    using OutcomeFn = std::function<Outcome(telemetry::TraceContext)>;
+    auto respond = [&](const Request &request, const OutcomeFn &fn) {
+        telemetry::TraceContext ctx;
+        std::optional<telemetry::TraceScope> scope;
+        if (plane != nullptr) {
+            ctx = telemetry::newTrace();
+            scope.emplace(ctx);
         }
-        if (plane->trace_ids)
-            response += " trace_id=" + traceIdHex(ctx.id);
+        auto started = Deadline::Clock::now();
+        Outcome outcome;
+        try {
+            outcome = fn(ctx);
+        } catch (const std::exception &e) {
+            outcome = failure(e.what());
+        }
+        (outcome.kind == Kind::Optimal ? optimal
+         : outcome.kind == Kind::Error ? errors
+                                       : degraded)
+            .inc();
+        std::string response = renderOutcome(request.index, outcome);
+        if (plane != nullptr) {
+            recordOutcome(*plane, request, ctx, scope->notes(), outcome,
+                          wallMicrosSince(started));
+            if (plane->trace_ids)
+                response += " trace_id=" + traceIdHex(ctx.id);
+        }
         return response;
     };
 
@@ -743,31 +712,29 @@ runBatch(QueryService &service, const std::vector<Request> &requests,
         // the request touches the queue: a shed request is answered
         // inline with the certified ov_o floor and never enqueued.
         const Request &to_submit = requests[i];
-        if (admission != nullptr && !to_submit.native &&
-            !to_submit.tune && to_submit.error.empty()) {
+        bool solves = to_submit.verb == Verb::Shortest ||
+                      to_submit.verb == Verb::Storage;
+        if (admission != nullptr && solves && to_submit.error.empty()) {
+            std::optional<std::string> fired;
+            bool shed = false;
             try {
                 failpoint::fire("admission");
+                shed = !admission->admit(depth.value());
             } catch (const std::exception &e) {
-                std::string message = e.what();
-                responses[i] = inlineResponse(to_submit, [&] {
-                    return "error " +
-                           std::to_string(to_submit.index) + " " +
-                           message;
-                });
-                continue;
+                fired = e.what();
             }
-            if (!admission->admit(depth.value())) {
-                responses[i] = inlineResponse(to_submit, [&] {
-                    return shedRequest(to_submit);
-                });
+            if (fired || shed) {
+                responses[i] =
+                    respond(to_submit, [&](telemetry::TraceContext) {
+                        return fired ? failure(*fired)
+                                     : shedOutcome(to_submit);
+                    });
                 continue;
             }
         }
         depth.add(1);
         auto enqueued = Deadline::Clock::now();
-        futures.push_back(pool.submit([&service, &requests, &responses,
-                                       &watchdog, &depth, &queue_wait,
-                                       plane, enqueued, i] {
+        futures.push_back(pool.submit([&, enqueued, i] {
             const Request &request = requests[i];
             int64_t wait_us =
                 std::chrono::duration_cast<std::chrono::microseconds>(
@@ -779,62 +746,27 @@ runBatch(QueryService &service, const std::vector<Request> &requests,
             // The request runs whole on this pool thread, so a
             // thread-local trace scope covers every layer it enters;
             // the span arg links the Perfetto track to the same id.
-            telemetry::TraceContext ctx;
-            std::optional<telemetry::TraceScope> scope;
-            if (plane != nullptr) {
-                ctx = telemetry::newTrace();
-                scope.emplace(ctx);
-            }
-            trace::Span span("service.request");
-            span.arg("index", static_cast<int64_t>(request.index));
-            if (ctx.valid())
-                span.arg("trace_id", static_cast<int64_t>(ctx.id));
-            auto started = Deadline::Clock::now();
-            // Per-request error isolation: whatever this request
-            // throws -- an armed fail point, even an internal error
-            // -- becomes its own error line; the batch always runs
-            // to completion.
-            try {
+            auto run = [&](telemetry::TraceContext ctx) {
+                trace::Span span("service.request");
+                span.arg("index", static_cast<int64_t>(request.index));
+                if (ctx.valid())
+                    span.arg("trace_id", static_cast<int64_t>(ctx.id));
                 failpoint::fire("task_start");
                 watchdog.start(i, request.deadline_ms);
-                responses[i] = runRequest(service, request);
-            } catch (const std::exception &e) {
-                responses[i] = "error " +
-                               std::to_string(request.index) + " " +
-                               e.what();
-            }
+                return serviceOutcome(service, request);
+            };
+            responses[i] = respond(request, run);
             watchdog.finish(i);
             depth.sub(1);
-            if (plane != nullptr) {
-                recordOutcome(*plane, request, ctx, scope->notes(),
-                              responses[i], wallMicrosSince(started));
-                if (plane->trace_ids)
-                    responses[i] += " trace_id=" + traceIdHex(ctx.id);
-            }
         }));
     }
     // Drain every future before unwinding (tasks capture locals).
     for (auto &f : futures)
         f.get();
 
-    // Classify every response exactly once; the three counters sum
-    // to the batch size (asserted by the fault fuzz oracle).
-    Counter &optimal = service.metrics().counter("service.optimal");
-    Counter &degraded =
-        service.metrics().counter("service.degraded");
-    Counter &errors =
-        service.metrics().counter("service.request_errors");
-    for (const std::string &response : responses) {
-        if (response.rfind("error ", 0) == 0)
-            errors.inc();
-        else if (response.find(" degraded=") != std::string::npos)
-            degraded.inc();
-        else
-            optimal.inc();
-    }
     uint64_t fires_after = failpoint::Registry::instance().totalFires();
     if (fires_after > fires_before)
-        service.metrics().counter("service.failpoint_fires")
+        metrics.counter("service.failpoint_fires")
             .inc(fires_after - fires_before);
     return responses;
 }
@@ -844,23 +776,9 @@ runBatchDirect(const std::vector<Request> &requests, uint64_t max_visits)
 {
     std::vector<std::string> responses;
     responses.reserve(requests.size());
-    for (const Request &r : requests) {
-        if (r.native) {
-            responses.push_back(runNativeRequest(r));
-            continue;
-        }
-        if (r.tune) {
-            responses.push_back(runTuneRequest(r));
-            continue;
-        }
-        responses.push_back(answerRequest(r, [&](const Stencil &s) {
-            SearchBudget budget;
-            budget.max_nodes = max_visits;
-            budget.deadline = Deadline::afterMillis(r.deadline_ms);
-            return solveDirect(s, r.objective, r.isg_lo, r.isg_hi,
-                               budget);
-        }));
-    }
+    for (const Request &r : requests)
+        responses.push_back(
+            renderOutcome(r.index, directOutcome(r, max_visits)));
     return responses;
 }
 

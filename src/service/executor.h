@@ -4,8 +4,9 @@
  * of parsed requests onto a ThreadPool.
  *
  * Protocol (one request per line; '#' comments and blank lines are
- * skipped and consume no request index; sub-syntax -- 'lo..hi' ranges
- * and bracketed integer tuples -- matches driver/nest_parser):
+ * skipped and consume no request index; integers, '[o1,...]' tuples
+ * and 'lo..hi' ranges are the support/tokens sub-syntax the nest
+ * format also reads):
  *
  *     # best UOV by squared length
  *     query shortest deps [1,0] [0,1] [1,1]
@@ -18,17 +19,35 @@
  *     # jointly tune (UOV, schedule, factors) over the bounds box
  *     query tune bounds 0..17 0..99 deps [1,-1] [1,0] [1,1]
  *
+ * The verb after 'query' is a Verb, spelled by FlightDigest::verbName.
  * Responses are written strictly in request order, one line each:
  *
  *     answer <idx> best=(1, 1) value=2 initial=4 canon=3 cert=...
+ *     answer <idx> native uov=(2, 0) cells=<n> storage=ov unroll=<u>
+ *         jam=<j> interp_ns=<t> lex_ns=<t> rtile_ns=<t>
+ *         speedup_lex=<x> speedup_rtile=<x> verified=ok
+ *     answer <idx> tune uov=(2, 0) storage=ov schedule=unroll(4)
+ *         cells=<n> sim_cycles=<c> evaluated=<k>/<total>
+ *         [degraded=<reason>] <measurement tail>
  *     error <idx> <message>
  *
- * so output is byte-deterministic for a given input at every thread
+ * Every request ends in one typed Outcome -- optimal, degraded, shed
+ * or error -- that one function renders into its line; the metrics,
+ * flight digest, SLO sample and log read the Outcome, never the line.
+ *
+ * Output is byte-deterministic for a given input at every thread
  * count (deadline_ms 0 and unbounded requests included; a positive
  * wall-clock deadline only promises a certified answer no worse than
  * ov_o).  A malformed or throwing request yields an error response
  * and the batch keeps going; the error text is part of the
- * deterministic contract.
+ * deterministic contract.  Exempt: the _ns timing fields and
+ * everything after them on native and tune lines.  A tune line's
+ * measurement tail is " measure=unavailable" with no host compiler,
+ * " measure=deadline" once the deadline expired, and otherwise the
+ * JIT-measured " lex_ns=<t> best_ns=<t> speedup_vs_lex=<x>
+ * best_measured={...} verified=ok".  Native timing has no anytime
+ * fallback: an expired deadline or a missing host compiler is an
+ * error line.
  */
 
 #ifndef UOV_SERVICE_EXECUTOR_H
@@ -53,18 +72,27 @@
 namespace uov {
 namespace service {
 
+/** The request verb; FlightDigest::verbName spells it on the wire. */
+using Verb = telemetry::FlightDigest::Verb;
+
 /** One parsed protocol line (or its parse failure). */
 struct Request
 {
     size_t index = 0;       ///< 1-based request number
     std::string error;      ///< nonempty: parse failed, text to echo
+    Verb verb = Verb::Shortest; ///< Verb::Unknown after a parse failure
     std::vector<IVec> deps; ///< as presented (not yet canonical)
-    SearchObjective objective = SearchObjective::ShortestVector;
-    bool native = false;    ///< 'query native': JIT timing request
-    bool tune = false;      ///< 'query tune': joint autotune request
     std::optional<IVec> isg_lo;
     std::optional<IVec> isg_hi;
     int64_t deadline_ms = -1; ///< wall-clock budget; -1 = unbounded
+
+    /** The search objective of a shortest or storage request. */
+    SearchObjective
+    objective() const
+    {
+        return verb == Verb::Storage ? SearchObjective::BoundedStorage
+                                     : SearchObjective::ShortestVector;
+    }
 };
 
 /**
@@ -127,55 +155,11 @@ class Watchdog
 
 /**
  * Answer one request through the service; returns the full response
- * line ("answer ..." or "error ...").  Input-dependent failures
- * (invalid stencil, bad bounds) become error responses; internal
- * errors propagate.
+ * line ("answer ..." or "error ...").  Every library error (bad input,
+ * an armed fail point, a missing host compiler) becomes an error
+ * response; other exceptions propagate.
  */
 std::string runRequest(QueryService &service, const Request &request);
-
-/**
- * Answer a 'query native' request: realize the stencil as a
- * single-statement nest over the bounds box, plan its storage
- * mapping, JIT-compile the lexicographic and register-tiled OV-mapped
- * kernels with the host C compiler, verify both bit-exactly against
- * the interpreter, and report interpreter-vs-native timings:
- *
- *     answer <idx> native cells=<n> interp_ns=<t> lex_ns=<t>
- *         rtile_ns=<t> speedup_lex=<x> speedup_rtile=<x> verified=ok
- *
- * Timing figures are wall-clock and NOT covered by the
- * byte-determinism contract (which is scoped to shortest/storage);
- * everything before the first _ns field is deterministic.  A missing
- * host compiler or an unplannable stencil becomes an "error <idx>"
- * response, like any other input-dependent failure.
- */
-std::string runNativeRequest(const Request &request);
-
-/**
- * Answer a 'query tune' request: realize the stencil over the bounds
- * box and run the joint (UOV, schedule, tile/unroll) tuner under the
- * request deadline, scoring with the deterministic cache/TLB
- * simulator:
- *
- *     answer <idx> tune uov=(2, 0) storage=ov schedule=unroll(4)
- *         cells=<n> sim_cycles=<c> evaluated=<k>/<total>
- *         [degraded=<reason>] ...
- *
- * Everything up to here is byte-deterministic (deadline_ms in
- * {-1, 0}; positive deadlines truncate the evaluated prefix).  When a
- * host compiler is available and the deadline has not expired, the
- * top simulator-ranked lowerable candidates plus the default
- * lexicographic kernel are then JIT-measured (each verified
- * bit-exactly against the interpreter) and the line continues in the
- * _ns-exempt zone:
- *
- *     ... lex_ns=<t> best_ns=<t> speedup_vs_lex=<x>
- *         best_measured={...} verified=ok
- *
- * With no compiler the tail is " measure=unavailable"; with an
- * expired deadline, " measure=deadline".
- */
-std::string runTuneRequest(const Request &request);
 
 /** Admission-control configuration. */
 struct AdmissionOptions
@@ -272,15 +256,6 @@ struct TelemetryPlane
 };
 
 /**
- * Classify one response line the way the executor's metrics do:
- * "error " prefix -> Error; " degraded=shed" -> Shed; any other
- * " degraded=" -> Degraded; else Optimal.  Exposed for tests and the
- * flight recorder.
- */
-telemetry::FlightDigest::Outcome
-classifyResponse(const std::string &response);
-
-/**
  * Answer a batch on @p pool (requests fan out; identical in-flight
  * queries coalesce inside the service).  Responses are returned in
  * request order.  The pool's queue depth is tracked in the service's
@@ -288,10 +263,10 @@ classifyResponse(const std::string &response);
  *
  * Error isolation: every exception a request raises -- bad input, an
  * armed fail point, even an internal error -- becomes that request's
- * "error <idx> ..." line; the batch always completes.  Each response
- * is classified into exactly one of the "service.optimal",
- * "service.degraded", or "service.request_errors" counters, so the
- * three always sum to the batch size.
+ * "error <idx> ..." line; the batch always completes.  Each request's
+ * Outcome counts into exactly one of the "service.optimal",
+ * "service.degraded" (shed included), or "service.request_errors"
+ * counters, so the three always sum to the batch size.
  *
  * @p admission, when non-null, applies overload shedding to solve
  * requests (see AdmissionController); the fail-point site "admission"

@@ -33,7 +33,7 @@
 
 #include "service/answer.h"
 #include "service/canonical.h"
-#include "service/metrics.h"
+#include "support/metrics.h"
 #include "service/result_cache.h"
 #include "service/store.h"
 

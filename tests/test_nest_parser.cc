@@ -115,6 +115,23 @@ TEST(NestParser, ErrorsCarryLineNumbers)
                  "outside a statement");
     expect_error("nest n\nbounds 0..3\nstatement s\n  write A[x]\n",
                  "bad offset");
+
+    // Offsets and bounds are whole tokens (support/tokens, shared
+    // with the query protocol), and an access line holds one access.
+    const std::string stmt = "nest n\nbounds 0..3 0..3\nstatement B\n"
+                             "  write B[0,0]\n";
+    expect_error(stmt + "  read B[-1,-2,]\n",
+                 "line 5: bad offset ''");
+    expect_error(stmt + "  read B[-1,2]zz\n",
+                 "line 5: expected NAME[o1,o2,...], got 'B[-1,2]zz'");
+    expect_error("nest n\nbounds 1..18z 0..99q\n",
+                 "line 2: bad range '1..18z'");
+    expect_error("nest n\nbounds 1..2..3\n", "line 2: bad range '1..2..3'");
+    expect_error(stmt + "  read B[-1,0] B[-1,1]\n",
+                 "line 5: unexpected 'B[-1,1]' after access 'B[-1,0]'");
+    expect_error("nest n\nbounds 0..3\nstatement B\n"
+                 "  write B[0] B[1]\n",
+                 "line 4: unexpected 'B[1]' after access 'B[0]'");
 }
 
 TEST(NestParser, StructuralErrors)

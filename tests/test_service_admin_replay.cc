@@ -3,17 +3,21 @@
  * The telemetry plane's service-level acceptance tests: arming the
  * plane must not change a single response byte, the flight recorder
  * must hold a digest (with a matching trace id) for every degraded,
- * shed, or error response, the SLO tracker and classification
- * counters must reconcile with the batch, and the periodic store
+ * shed, or error response, each digest must carry its request's typed
+ * verb, outcome and cause, the SLO tracker and outcome counters must
+ * reconcile with the batch, and the periodic store
  * compaction hook must fire on schedule without disturbing answers.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
+#include <future>
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <unistd.h>
@@ -21,6 +25,7 @@
 #include "fuzz/workload.h"
 #include "service/executor.h"
 #include "service/store.h"
+#include "support/failpoint.h"
 #include "support/logging.h"
 #include "telemetry/flight_recorder.h"
 #include "telemetry/slo.h"
@@ -100,24 +105,6 @@ traceToken(const std::string &response)
     if (pos == std::string::npos)
         return "";
     return response.substr(pos + 10);
-}
-
-TEST(ClassifyResponse, PartitionsTheResponseSpace)
-{
-    EXPECT_EQ(classifyResponse("error 3 bad deadline"),
-              FlightDigest::Outcome::Error);
-    EXPECT_EQ(classifyResponse(
-                  "answer 1 best=(1, 1) value=2 degraded=shed"),
-              FlightDigest::Outcome::Shed);
-    EXPECT_EQ(classifyResponse("answer 2 best=(1, 1) value=2 "
-                               "degraded=deadline cert=a"),
-              FlightDigest::Outcome::Degraded);
-    EXPECT_EQ(classifyResponse(
-                  "answer 4 best=(1, 1) value=2 initial=4"),
-              FlightDigest::Outcome::Optimal);
-    // "shed" must be the whole token, not a prefix match.
-    EXPECT_EQ(classifyResponse("answer 5 x degraded=shedlike"),
-              FlightDigest::Outcome::Degraded);
 }
 
 TEST(AdminReplay, ArmedPlaneIsByteIdenticalToBaseline)
@@ -210,16 +197,17 @@ TEST(AdminReplay, FlightHoldsEveryNonOptimalResponseWithItsTraceId)
         EXPECT_EQ(token, traceIdHex(d.trace_id))
             << responses[i];
 
-        // The digest's outcome matches the classifier (the trace_id
-        // token is appended after classification, so strip it).
-        std::string bare =
-            responses[i].substr(0, responses[i].rfind(" trace_id="));
-        EXPECT_EQ(d.outcome, classifyResponse(bare)) << responses[i];
+        // The rendered line agrees with the typed outcome it came
+        // from: error lines and error digests coincide.
+        EXPECT_EQ(responses[i].rfind("error ", 0) == 0,
+                  d.outcome == FlightDigest::Outcome::Error)
+            << responses[i];
         if (d.outcome != FlightDigest::Outcome::Optimal) {
             ++non_optimal;
             // Error digests explain themselves.
-            if (d.outcome == FlightDigest::Outcome::Error)
+            if (d.outcome == FlightDigest::Outcome::Error) {
                 EXPECT_FALSE(d.causeStr().empty()) << responses[i];
+            }
         }
     }
     // The hand-written tail guarantees at least one degraded line and
@@ -231,6 +219,122 @@ TEST(AdminReplay, FlightHoldsEveryNonOptimalResponseWithItsTraceId)
     EXPECT_EQ(r.total, reqs.size());
     EXPECT_EQ(r.errors,
               metrics.counter("service.request_errors").value());
+}
+
+/**
+ * A task_start arming that, over @p hits successive hits, fires on hit
+ * @p only alone: found by dry-running seeds, then re-armed so the
+ * stream restarts.  With one pool worker the hits are the pooled
+ * requests in order, so exactly one chosen request draws the error.
+ */
+void
+armTaskStartOnlyAt(size_t only, size_t hits)
+{
+    failpoint::Registry &registry = failpoint::Registry::instance();
+    failpoint::Config config;
+    config.probability = 0.25;
+    for (config.seed = 1;; ++config.seed) {
+        registry.arm("task_start", config);
+        std::vector<size_t> fired;
+        for (size_t h = 0; h < hits; ++h) {
+            try {
+                failpoint::fire("task_start");
+            } catch (const failpoint::FailPointError &) {
+                fired.push_back(h);
+            }
+        }
+        if (fired == std::vector<size_t>{only})
+            break;
+    }
+    registry.arm("task_start", config);
+}
+
+TEST(AdminReplay, DigestsCarryEachFatesTypedOutcome)
+{
+    using Outcome = FlightDigest::Outcome;
+    struct Fate
+    {
+        const char *line;
+        Verb verb;
+        Outcome outcome;
+        const char *cause;
+    };
+    const Fate fates[] = {
+        {"query shortest deps [1,0] [0,1] [1,1]", Verb::Shortest,
+         Outcome::Optimal, ""},
+        {"query shortest deadline_ms 0 deps [1,0] [0,1] [1,1]",
+         Verb::Shortest, Outcome::Degraded, "deadline"},
+        {"query fastest deps [1,0]", Verb::Unknown, Outcome::Error,
+         "bad objective 'fastest', expected shortest|storage|native|"
+         "tune"},
+        {"query shortest deps [1,0] [0,1]", Verb::Shortest,
+         Outcome::Error, "fail point 'task_start' fired"},
+        {"query native deadline_ms 0 bounds 0..5 0..9 "
+         "deps [1,-1] [1,0] [1,1]",
+         Verb::Native, Outcome::Error,
+         "deadline_ms 0 expired before compilation"},
+        {"query tune deadline_ms 0 bounds 0..5 0..9 "
+         "deps [1,-1] [1,0] [1,1]",
+         Verb::Tune, Outcome::Degraded, "deadline"},
+        // The last solve request finds the queue at the high-water
+        // mark: six requests wait behind the blocked worker.
+        {"query storage bounds 0..7 0..7 deps [1,-1] [1,0] [1,1]",
+         Verb::Storage, Outcome::Shed, "shed"},
+    };
+    std::string text;
+    for (const Fate &f : fates)
+        text += std::string(f.line) + "\n";
+    std::istringstream in(text);
+    std::vector<Request> reqs = parseRequests(in);
+    ASSERT_EQ(reqs.size(), std::size(fates));
+
+    failpoint::ScopedFailPoints disarm_at_exit;
+    armTaskStartOnlyAt(3, 6); // the fourth request, fourth in the pool
+
+    MetricsRegistry metrics;
+    QueryService svc(cappedOptions(), metrics);
+    AdmissionOptions ao;
+    ao.high_water = 6;
+    AdmissionController admission(ao, metrics);
+    telemetry::FlightRecorder flight(64);
+    telemetry::SloTracker slo;
+    TelemetryPlane plane;
+    plane.flight = &flight;
+    plane.slo = &slo;
+
+    // One worker, held until the shed decision is made: the six
+    // queued requests then run in order, so the depth each admission
+    // decision sees and the fail point's hit order are fixed.
+    ThreadPool pool(1);
+    Counter &shed = metrics.counter("service.shed.responses");
+    std::future<void> blocker = pool.submit([&shed] {
+        while (shed.value() == 0)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    });
+    std::vector<std::string> responses =
+        runBatch(svc, reqs, pool, &admission, &plane);
+    blocker.get();
+
+    std::vector<FlightDigest> digests = flight.snapshot();
+    ASSERT_EQ(digests.size(), std::size(fates));
+    for (const FlightDigest &d : digests) {
+        ASSERT_GE(d.request_index, 1u);
+        ASSERT_LE(d.request_index, std::size(fates));
+        const Fate &f = fates[d.request_index - 1];
+        const std::string &line = responses[d.request_index - 1];
+        EXPECT_EQ(d.verb, f.verb) << line;
+        EXPECT_EQ(d.outcome, f.outcome) << line;
+        EXPECT_EQ(d.causeStr(), std::string(f.cause).substr(
+                                    0, FlightDigest::kCauseBytes - 1))
+            << line;
+    }
+
+    // The three outcome counters partition the batch: shed counts as
+    // degraded.
+    EXPECT_EQ(metrics.counter("service.optimal").value(), 1u);
+    EXPECT_EQ(metrics.counter("service.degraded").value(), 3u);
+    EXPECT_EQ(metrics.counter("service.request_errors").value(), 3u);
+    EXPECT_EQ(slo.report().errors, 3u);
 }
 
 TEST(AdminReplay, StoreCompactionFiresOnTheAppendSchedule)

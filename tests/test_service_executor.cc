@@ -11,6 +11,7 @@
 #include <sstream>
 
 #include "codegen/jit.h"
+#include "fuzz/workload.h"
 #include "service/executor.h"
 #include "support/failpoint.h"
 
@@ -26,7 +27,7 @@ TEST(Executor, ParsesShortestQuery)
         "query shortest deps [1,0] [0,1] [1,1]", 3);
     EXPECT_TRUE(r.error.empty()) << r.error;
     EXPECT_EQ(r.index, 3u);
-    EXPECT_EQ(r.objective, SearchObjective::ShortestVector);
+    EXPECT_EQ(r.verb, Verb::Shortest);
     ASSERT_EQ(r.deps.size(), 3u);
     EXPECT_EQ(r.deps[0], (IVec{1, 0}));
     EXPECT_FALSE(r.isg_lo.has_value());
@@ -37,7 +38,7 @@ TEST(Executor, ParsesStorageQueryWithBounds)
     Request r = parseRequestLine(
         "query storage bounds 0..17 0..99 deps [1,-1] [1,0] [1,1]", 1);
     EXPECT_TRUE(r.error.empty()) << r.error;
-    EXPECT_EQ(r.objective, SearchObjective::BoundedStorage);
+    EXPECT_EQ(r.verb, Verb::Storage);
     ASSERT_TRUE(r.isg_lo.has_value());
     EXPECT_EQ(*r.isg_lo, (IVec{0, 0}));
     EXPECT_EQ(*r.isg_hi, (IVec{17, 99}));
@@ -68,6 +69,17 @@ TEST(Executor, RejectsMalformedLines)
         {"query storage bounds 5..3 deps [1,0]", "empty range"},
         {"query storage bounds 0..9 deps [1,0]",
          "does not match dependence rank"},
+        // The tuple and range tokens are whole: no dangling comma, no
+        // empty element, no junk after the bracket or the bound.
+        {"query shortest deps [1,0,] [0,1]",
+         "bad dependence '[1,0,]', expected [o1,o2,...]"},
+        {"query shortest deps [,1]", "bad dependence '[,1]'"},
+        {"query shortest deps []", "bad dependence '[]'"},
+        {"query shortest deps [1,0]zz", "bad dependence '[1,0]zz'"},
+        {"query storage bounds 1..18z deps [1,0]",
+         "bad range '1..18z', expected lo..hi"},
+        {"query storage bounds 1..2..3 deps [1,0]",
+         "bad range '1..2..3', expected lo..hi"},
     };
     for (const Case &c : cases) {
         Request r = parseRequestLine(c.line, 1);
@@ -82,9 +94,52 @@ TEST(Executor, ParsesNativeQuery)
     Request r = parseRequestLine(
         "query native bounds 0..9 0..9 deps [1,-1] [1,0] [1,1]", 2);
     EXPECT_TRUE(r.error.empty()) << r.error;
-    EXPECT_TRUE(r.native);
+    EXPECT_EQ(r.verb, Verb::Native);
     ASSERT_TRUE(r.isg_lo.has_value());
     EXPECT_EQ(*r.isg_hi, (IVec{9, 9}));
+}
+
+/** parseRequestLine(renderRequest(r)) reproduces @p r. */
+void
+expectRoundTrip(const Request &r)
+{
+    std::string line = fuzz::renderRequest(r);
+    Request back = parseRequestLine(line, r.index);
+    EXPECT_TRUE(back.error.empty()) << line << ": " << back.error;
+    EXPECT_EQ(back.index, r.index) << line;
+    EXPECT_EQ(back.verb, r.verb) << line;
+    EXPECT_EQ(back.deps, r.deps) << line;
+    EXPECT_EQ(back.isg_lo, r.isg_lo) << line;
+    EXPECT_EQ(back.isg_hi, r.isg_hi) << line;
+    EXPECT_EQ(back.deadline_ms, r.deadline_ms) << line;
+}
+
+TEST(RenderRequest, RoundTripsEveryVerb)
+{
+    for (Verb verb :
+         {Verb::Shortest, Verb::Storage, Verb::Native, Verb::Tune}) {
+        for (int64_t deadline : {-1, 0, 25}) {
+            Request r;
+            r.index = 4;
+            r.verb = verb;
+            r.deps = {IVec{1, -1}, IVec{1, 0}, IVec{1, 1}};
+            r.deadline_ms = deadline;
+            if (verb != Verb::Shortest) {
+                r.isg_lo = IVec{0, -3};
+                r.isg_hi = IVec{5, 9};
+            }
+            expectRoundTrip(r);
+        }
+    }
+    for (uint64_t seed : {1u, 2u, 3u, 0xAD317u}) {
+        fuzz::WorkloadOptions wopt;
+        wopt.requests = 64;
+        wopt.distinct = 12;
+        wopt.seed = seed;
+        wopt.deadline_ms = seed % 2 ? -1 : 5;
+        for (const Request &r : fuzz::makeWorkload(wopt))
+            expectRoundTrip(r);
+    }
 }
 
 TEST(Executor, NativeQueryAnswersWithVerifiedTimings)
@@ -94,7 +149,9 @@ TEST(Executor, NativeQueryAnswersWithVerifiedTimings)
     Request r = parseRequestLine(
         "query native bounds 0..9 0..9 deps [1,-1] [1,0] [1,1]", 1);
     ASSERT_TRUE(r.error.empty()) << r.error;
-    std::string resp = runNativeRequest(r);
+    MetricsRegistry metrics;
+    QueryService svc(ServiceOptions{}, metrics);
+    std::string resp = runRequest(svc, r);
     EXPECT_EQ(resp.rfind("answer 1 native uov=(2, 0) ", 0), 0u)
         << resp;
     EXPECT_NE(resp.find(" interp_ns="), std::string::npos) << resp;

@@ -61,13 +61,11 @@ uniqueQueries(size_t target)
         padded.push_back(c.deps.front() * 3);
         padded.push_back(c.deps.front() * 2);
         for (const auto &deps : {c.deps, rev, padded}) {
-            for (SearchObjective obj :
-                 {SearchObjective::ShortestVector,
-                  SearchObjective::BoundedStorage}) {
+            for (Verb verb : {Verb::Shortest, Verb::Storage}) {
                 Request r;
                 r.deps = deps;
-                r.objective = obj;
-                if (obj == SearchObjective::BoundedStorage) {
+                r.verb = verb;
+                if (verb == Verb::Storage) {
                     r.isg_lo = c.lo;
                     r.isg_hi = c.hi;
                 }
@@ -122,7 +120,7 @@ TEST(ServiceReplay, ConcurrentServiceMatchesDirectByteForByte)
     for (const Request &r : requests) {
         Stencil canon = canonicalizeStencil(Stencil(r.deps));
         distinct.insert(
-            makeKey(canon, r.objective, r.isg_lo, r.isg_hi).str());
+            makeKey(canon, r.objective(), r.isg_lo, r.isg_hi).str());
     }
     double duplicate_ratio =
         1.0 - static_cast<double>(distinct.size()) /

@@ -63,11 +63,11 @@ solveRequests(size_t n)
         int64_t k = static_cast<int64_t>(i % 6) + 1;
         r.deps = {IVec{1, 0}, IVec{k, 1}, IVec{1, -k}};
         if (i % 2) {
-            r.objective = SearchObjective::BoundedStorage;
+            r.verb = Verb::Storage;
             r.isg_lo = IVec{0, 0};
             r.isg_hi = IVec{9, 9};
         } else {
-            r.objective = SearchObjective::ShortestVector;
+            r.verb = Verb::Shortest;
         }
         reqs.push_back(std::move(r));
     }

@@ -276,7 +276,7 @@ someRequests()
         Request r;
         r.index = reqs.size() + 1;
         r.deps = {IVec{1, 0}, IVec{k, 1}};
-        r.objective = SearchObjective::ShortestVector;
+        r.verb = Verb::Shortest;
         reqs.push_back(std::move(r));
     }
     return reqs;

@@ -1,14 +1,18 @@
 /**
  * @file
- * Regression tests for the headline experimental shapes, using the
- * umbrella header (which doubles as its compile test).  These pin the
- * qualitative claims of Section 5 at reduced problem sizes so the
+ * Regression tests for the headline experimental shapes.  These pin
+ * the qualitative claims of Section 5 at reduced problem sizes so the
  * full bench sweeps cannot silently drift.
  */
 
 #include <gtest/gtest.h>
 
-#include "uov/uov.h"
+#include <algorithm>
+
+#include "kernels/psm.h"
+#include "kernels/stencil5.h"
+#include "sim/machine.h"
+#include "sim/memory_policy.h"
 
 namespace uov {
 namespace {
@@ -128,18 +132,6 @@ TEST(Shapes, BranchCostCompressesPsmGapOnUltra2)
     no_branch.branch_cycles = 0;
     no_branch.branch_mispredict_rate = 0;
     EXPECT_LT(gap(u2), gap(no_branch));
-}
-
-TEST(Shapes, UmbrellaHeaderExposesEverything)
-{
-    // Touch one symbol from each layer through the single include.
-    EXPECT_EQ(stencils::fivePoint().initialUov(), (IVec{5, 0}));
-    EXPECT_TRUE(UovOracle(stencils::simpleExample()).isUov(IVec{1, 1}));
-    EXPECT_EQ(MachineConfig::alpha21164().name, "Alpha21164-500");
-    EXPECT_EQ(parseNestString("nest n\nbounds 0..1\nstatement s\n"
-                              "  write A[0]\n  read A[-1]\n")
-                  .depth(),
-              1u);
 }
 
 } // namespace

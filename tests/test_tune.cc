@@ -149,8 +149,7 @@ TEST(TuneService, ParsesTheTuneVerb)
     service::Request r = service::parseRequestLine(
         "query tune bounds 0..5 0..9 deps [1,-1] [1,0] [1,1]", 1);
     EXPECT_TRUE(r.error.empty()) << r.error;
-    EXPECT_TRUE(r.tune);
-    EXPECT_FALSE(r.native);
+    EXPECT_EQ(r.verb, service::Verb::Tune);
     ASSERT_TRUE(r.isg_lo.has_value());
     EXPECT_EQ(r.deps.size(), 3u);
 }
@@ -172,8 +171,8 @@ TEST(TuneService, ZeroDeadlineResponseIsDeterministic)
         "[1,1]",
         1);
     ASSERT_TRUE(r.error.empty()) << r.error;
-    std::string a = service::runTuneRequest(r);
-    std::string b = service::runTuneRequest(r);
+    std::string a = service::runBatchDirect({r}).front();
+    std::string b = service::runBatchDirect({r}).front();
     EXPECT_EQ(a, b);
     EXPECT_EQ(a.rfind("answer 1 tune uov=", 0), 0u) << a;
     EXPECT_NE(a.find(" degraded=deadline"), std::string::npos) << a;
@@ -191,7 +190,9 @@ TEST(TuneService, BatchDirectRoutesTuneRequests)
     ASSERT_EQ(reqs.size(), 1u);
     std::vector<std::string> out = service::runBatchDirect(reqs);
     ASSERT_EQ(out.size(), 1u);
-    EXPECT_EQ(out[0], service::runTuneRequest(reqs[0]));
+    MetricsRegistry metrics;
+    service::QueryService svc(service::ServiceOptions{}, metrics);
+    EXPECT_EQ(out[0], service::runRequest(svc, reqs[0]));
 }
 
 TEST(TuneService, MeasuredResponseReportsSpeedup)
@@ -201,7 +202,7 @@ TEST(TuneService, MeasuredResponseReportsSpeedup)
     service::Request r = service::parseRequestLine(
         "query tune bounds 0..5 0..9 deps [1,-1] [1,0] [1,1]", 1);
     ASSERT_TRUE(r.error.empty()) << r.error;
-    std::string line = service::runTuneRequest(r);
+    std::string line = service::runBatchDirect({r}).front();
     EXPECT_EQ(line.rfind("answer 1 tune uov=", 0), 0u) << line;
     EXPECT_NE(line.find(" lex_ns="), std::string::npos) << line;
     EXPECT_NE(line.find(" best_ns="), std::string::npos) << line;
@@ -220,8 +221,8 @@ TEST(NativeService, ExpiredDeadlineIsOneActionableError)
         "[1,0] [1,1]",
         1);
     ASSERT_TRUE(r.error.empty()) << r.error;
-    std::string a = service::runNativeRequest(r);
-    std::string b = service::runNativeRequest(r);
+    std::string a = service::runBatchDirect({r}).front();
+    std::string b = service::runBatchDirect({r}).front();
     EXPECT_EQ(a, b);
     EXPECT_EQ(a.rfind("error 1 ", 0), 0u) << a;
     EXPECT_NE(a.find("deadline_ms 0 expired"), std::string::npos)
